@@ -215,52 +215,53 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       | None -> invalid_arg "Explorer: managed extension without a store")
   in
 
+  (* Helpers of [schedule], hoisted so a reschedule allocates no closure.
+     [schedule] frees the finished segment's COW tail while the map still
+     holds it, then drops the finished path's ref on its origin, then
+     restores.  The discard must come first (it diffs against the live
+     map); the origin release must come before the next pop's
+     [sole_extension] check, or the previous sibling's still-held running
+     ref (and its chain of live descendants) would mask every
+     last-extension restore and the adopting fast path could never
+     trigger.  Releasing before the restore is sound: the freed deltas are
+     unreachable from every live snapshot, and nothing reads through the
+     dangling map between the release and the restore that replaces it. *)
+  let discard_prev prev =
+    (* Runs in reclaim mode too (the store's explicit-free discipline
+       covers captured records but not the unfrozen tail of a finished
+       segment); only a non-recycling allocator makes it a no-op. *)
+    if Mem.Phys_mem.recycling phys then
+      match prev with
+      | Some p when Mem.Addr_space.epoch machine.aspace = !segment_epoch ->
+        ignore
+          (Mem.Addr_space.discard_segment machine.aspace
+             ~base:p.Snapshot.mem)
+      | _ -> ()
+  in
+  let release_prev prev =
+    if recycle_snaps then
+      match prev with
+      | Some p -> Snapshot.release_ext ~phys p
+      | None -> ()
+  in
+  (* An evicted extension will never be evaluated: give its ref back.
+     Safe even before restoring away — any snapshot on the running path's
+     lineage is pinned by a live child or the unreleased ref of the path
+     itself, so [try_free] cannot touch it. *)
+  let release_evicted (e : Ext.t) =
+    match e.Ext.payload with
+    | Ext.Snap s -> Snapshot.release_ext ~phys s
+    | Ext.Ref _ -> ()
+  in
+
   (* Schedule the next extension; [`Continue] means the machine is ready to
      resume, [`Scope_done] that the scope was exhausted and the root
      restored (rax is 0 there, captured before it was set to 1). *)
   let rec schedule sc =
     let dropped = sc.frontier.Frontier.evicted () in
     stats.evicted <- stats.evicted + List.length dropped;
-    (* An evicted extension will never be evaluated: give its ref back.
-       Safe even before restoring away — any snapshot on the running
-       path's lineage is pinned by a live child or the unreleased ref of
-       the path itself, so [try_free] cannot touch it. *)
-    if recycle_snaps then
-      List.iter
-        (fun (e : Ext.t) ->
-          match e.Ext.payload with
-          | Ext.Snap s -> Snapshot.release_ext ~phys s
-          | Ext.Ref _ -> ())
-        dropped;
+    if recycle_snaps then List.iter release_evicted dropped;
     let prev = !current_snap in
-    (* Free the finished segment's COW tail while the map still holds it,
-       then drop the finished path's ref on its origin, then restore.  The
-       discard must come first (it diffs against the live map); the origin
-       release must come before the next pop's [sole_extension] check, or
-       the previous sibling's still-held running ref (and its chain of
-       live descendants) would mask every last-extension restore and the
-       adopting fast path could never trigger.  Releasing before the
-       restore is sound: the freed deltas are unreachable from every live
-       snapshot, and nothing reads through the dangling map between the
-       release and the restore that replaces it. *)
-    let discard_prev () =
-      (* Runs in reclaim mode too (the store's explicit-free discipline
-         covers captured records but not the unfrozen tail of a finished
-         segment); only a non-recycling allocator makes it a no-op. *)
-      if Mem.Phys_mem.recycling phys then
-        match prev with
-        | Some p when Mem.Addr_space.epoch machine.aspace = !segment_epoch ->
-          ignore
-            (Mem.Addr_space.discard_segment machine.aspace
-               ~base:p.Snapshot.mem)
-        | _ -> ()
-    in
-    let release_prev () =
-      if recycle_snaps then
-        match prev with
-        | Some p -> Snapshot.release_ext ~phys p
-        | None -> ()
-    in
     match sc.frontier.Frontier.pop () with
     | Some (ext : Ext.t) -> (
       (* Discard before resolving: a reconstruction (promotion or replay)
@@ -268,10 +269,10 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
          finished segment's COW tail to the GC.  Sound because every
          resolve path that touches the machine starts with a full restore
          and nothing reads through the outgoing map in between. *)
-      discard_prev ();
+      discard_prev prev;
       match resolve ext with
       | snap ->
-        release_prev ();
+        release_prev prev;
         if recycle_snaps && Snapshot.sole_extension snap then begin
           (* Last restore of this snapshot: adopt its frames into the new
              generation instead of COWing them all over again — the DFS
@@ -310,8 +311,8 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
           "";
         schedule sc)
     | None ->
-      discard_prev ();
-      release_prev ();
+      discard_prev prev;
+      release_prev prev;
       Snapshot.restore machine sc.root;
       (* the root was captured with rax already 0, the value the resumed
          program observes — no register override to record *)
@@ -342,7 +343,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       | None -> (
         match !current_snap with
         | None -> 0
-        | Some s -> List.length (Snapshot.lineage s))
+        | Some s -> s.Snapshot.chain)
     in
     stats.max_live_snapshots <- max stats.max_live_snapshots (frontier_len + lineage_len)
   in

@@ -133,7 +133,7 @@ let run_cooperative ~(config : config) (image : Isa.Asm.image) =
           else
             match w.snap with
             | None -> acc
-            | Some s -> acc + List.length (Snapshot.lineage s))
+            | Some s -> acc + s.Snapshot.chain)
         0 workers
     in
     stats.Stats.max_live_snapshots <-
@@ -586,7 +586,7 @@ let eval_domain sh ~dom ~(machine : Libos.t) ~phys ~(d_root : Snapshot.t)
     let frontier_len = Work_queue.length sh.queue in
     let lineage =
       match !cur_snap with
-      | Some s -> List.length (Snapshot.lineage s)
+      | Some s -> s.Snapshot.chain
       | None -> !depth + 1  (* foreign path: its lineage lives elsewhere *)
     in
     st.Stats.max_live_snapshots <-

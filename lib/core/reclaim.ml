@@ -48,9 +48,11 @@ type payload =
    delta-vs-parent frames to the allocator the moment no child record and
    no extension shares them — cascading up abandoned chains — so the
    pressure handler reclaims frames without waiting for a major GC.
-   Records captured without a parent (the pinned root, callers that do
-   not thread lineage) simply fall back to GC reclamation: failing to
-   free eagerly leaks nothing. *)
+   Records captured without a parent (the pinned root, promotions of
+   full images) simply fall back to GC reclamation: failing to free
+   eagerly leaks nothing.  A child captured without its parent link is
+   not safe, though: nothing then stops the parent's frames from being
+   freed under it, which is why [add] requires the link. *)
 type entry = {
   e_parent : handle option;
   e_choice : int;              (* rax delivered when re-running the edge *)

@@ -63,7 +63,10 @@ val add :
   t -> parent:handle -> choice:int -> ?stdin:string -> depth:int ->
   Snapshot.t -> handle
 (** Register a snapshot captured at the first [sys_guess] reached after
-    restoring [parent] and delivering [choice] (and [stdin], if given). *)
+    restoring [parent] and delivering [choice] (and [stdin], if given).
+    The capture must name the record [get parent] returned as its
+    [~parent]: the store frees a record's frames once no child record
+    links to it, so an unlinked child could keep mapping freed frames. *)
 
 val get : t -> handle -> Snapshot.t
 (** The entry's snapshot, reconstructed if not live: promotion

@@ -7,6 +7,7 @@ type t = {
   os : Os.Libos.os_state;
   parent : t option;
   depth : int;
+  chain : int;
   (* Explicit-release bookkeeping (see [release_ext]).  [ext_refs] counts
      frontier extensions (plus pins) that may still restore this snapshot;
      [child_refs] counts live child snapshots whose maps share our frames.
@@ -44,6 +45,7 @@ let capture ~ids ?parent ~depth (machine : Os.Libos.t) =
     os = Os.Libos.os_capture machine;
     parent;
     depth;
+    chain = (match parent with Some p -> p.chain + 1 | None -> 1);
     ext_refs = 0;
     child_refs = 0;
     freed = false;

@@ -15,6 +15,9 @@ type t = private {
   os : Os.Libos.os_state;
   parent : t option;
   depth : int;  (** guesses from the exploration root *)
+  chain : int;
+      (** [List.length (lineage t)], recorded at capture so extent
+          accounting allocates nothing *)
   mutable ext_refs : int;
       (** frontier extensions (plus pins) that may still restore this *)
   mutable child_refs : int;

@@ -288,9 +288,15 @@ let check_image ?(ckpt_every = 1) image =
       (fun () ->
         (* Eager release + adoption + buffer reuse, with freed buffers
            poisoned: a frame released while a live path could still read
-           it diverges loudly instead of silently. *)
-        compare_exact "recycle" base
-          (explorer_pipeline ~icache:true ~recycle:true ~poison:true image));
+           it diverges loudly instead of silently.  The TLB, which survives
+           captures and restores, is audited at every scheduler stop. *)
+        let audit (m : Libos.t) _ = As.audit_tlb m.Libos.aspace in
+        match
+          explorer_pipeline ~on_stop:audit ~icache:true ~recycle:true
+            ~poison:true image
+        with
+        | run -> compare_exact "recycle" base run
+        | exception Failure detail -> Some { pipeline = "recycle"; detail });
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
            the GC-only peak, a hook that demotes every live payload to its

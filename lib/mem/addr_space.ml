@@ -4,13 +4,6 @@ type access = Read | Write
 
 exception Page_fault of { addr : int; access : access }
 
-(* Direct-mapped TLB.  Entries cache vpn -> frame for the current page map;
-   they stay valid across stores (COW updates the entry in place) and are
-   flushed wholesale on snapshot capture and restore. *)
-let tlb_bits = 8
-let tlb_size = 1 lsl tlb_bits
-let tlb_mask = tlb_size - 1
-
 (* Frames with this owner are explicitly shared: never COW'd, excluded
    from snapshots (they live in [shared], not in the snapshot map). *)
 let shared_owner = -1
@@ -32,8 +25,9 @@ type t = {
   metrics : Mem_metrics.t;
   mutable map : Phys_mem.frame Ptmap.t;
   mutable gen : int;
-  tlb_vpn : int array;                     (* -1 = invalid *)
-  mutable tlb_frame : Phys_mem.frame array;
+  tlb : Tlb.t; (* translations only, never writability; see [restore] *)
+  unbind : int -> Phys_mem.frame -> Phys_mem.frame -> unit;
+      (* [restore]'s diff callback, allocated once *)
   mutable next_snap_id : int;
   mutable seen_share_epoch : int;
       (* the sharing-registry epoch this space last observed; a mismatch in
@@ -65,13 +59,13 @@ type t = {
 type snapshot = { snap_id : int; snap_map : Phys_mem.frame Ptmap.t }
 
 let create phys =
-  let zero = Phys_mem.zero_frame phys in
+  let tlb = Tlb.create phys in
   { phys;
     metrics = Phys_mem.metrics phys;
     map = Ptmap.empty;
     gen = Phys_mem.fresh_generation phys;
-    tlb_vpn = Array.make tlb_size (-1);
-    tlb_frame = Array.make tlb_size zero;
+    tlb;
+    unbind = (fun vpn _ _ -> Tlb.invalidate tlb vpn);
     next_snap_id = 0;
     seen_share_epoch = Phys_mem.share_epoch phys;
     shared_hidden = Ptmap.empty;
@@ -92,13 +86,7 @@ let account t = t.account
 let generation t = t.gen
 let epoch t = t.epoch
 
-let tlb_flush t =
-  Array.fill t.tlb_vpn 0 tlb_size (-1);
-  t.metrics.tlb_flushes <- t.metrics.tlb_flushes + 1
-
-let tlb_invalidate t vpn =
-  let i = vpn land tlb_mask in
-  if t.tlb_vpn.(i) = vpn then t.tlb_vpn.(i) <- -1
+let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y
 
 (* The shared page backing [vpn] as seen by THIS address space. *)
 let shared_frame t vpn =
@@ -117,39 +105,33 @@ let share_catch_up t epoch =
   let n = ref 0 in
   let targeted =
     Phys_mem.share_changes_since t.phys ~seen:t.seen_share_epoch
-      ~f:(fun vpn -> tlb_invalidate t vpn; incr n)
+      ~f:(fun vpn -> Tlb.invalidate t.tlb vpn; incr n)
   in
   if targeted then t.metrics.tlb_shootdowns <- t.metrics.tlb_shootdowns + !n
-  else tlb_flush t;
+  else Tlb.flush t.tlb;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:epoch ~b:(if targeted then !n else -1)
       Obs.Names.share_flush;
   t.seen_share_epoch <- epoch
 
+(* The page walk: the shared registry first, then the private map. *)
+let resolve t vpn =
+  match shared_frame t vpn with
+  | Some _ as hit -> hit
+  | None -> Ptmap.find_opt vpn t.map
+
 (* Look up the frame backing [vpn]; raises [Page_fault] when unmapped. *)
 let lookup t vpn access addr =
   let epoch = Phys_mem.share_epoch t.phys in
   if t.seen_share_epoch <> epoch then share_catch_up t epoch;
-  let i = vpn land tlb_mask in
-  if t.tlb_vpn.(i) = vpn then begin
-    t.metrics.tlb_hits <- t.metrics.tlb_hits + 1;
-    t.tlb_frame.(i)
-  end
-  else begin
-    t.metrics.tlb_misses <- t.metrics.tlb_misses + 1;
-    t.metrics.pt_walks <- t.metrics.pt_walks + 1;
-    let resolved =
-      match shared_frame t vpn with
-      | Some _ as hit -> hit
-      | None -> Ptmap.find_opt vpn t.map
-    in
-    match resolved with
+  let f = Tlb.find t.tlb vpn in
+  if f != Phys_mem.no_frame then f
+  else
+    match resolve t vpn with
     | None -> raise (Page_fault { addr; access })
     | Some f ->
-      t.tlb_vpn.(i) <- vpn;
-      t.tlb_frame.(i) <- f;
+      Tlb.fill t.tlb vpn f;
       f
-  end
 
 (* The COW fault path: the frame belongs to an older generation (a snapshot
    may still reference it), so service the write by copying it.  A write to
@@ -169,8 +151,7 @@ let cow t vpn (f : Phys_mem.frame) =
     end
   in
   t.map <- Ptmap.add vpn f' t.map;
-  let i = vpn land tlb_mask in
-  if t.tlb_vpn.(i) = vpn then t.tlb_frame.(i) <- f';
+  Tlb.update t.tlb vpn f';
   f'
 
 let writable_frame t vpn addr =
@@ -180,20 +161,19 @@ let writable_frame t vpn addr =
 
 (* {1 Mapping} *)
 
-let map_zero t ~vpn =
-  t.map <- Ptmap.add vpn (Phys_mem.zero_frame t.phys) t.map;
-  tlb_invalidate t vpn;
+let bind t vpn f op =
+  t.map <- Ptmap.add vpn f t.map;
+  Tlb.invalidate t.tlb vpn;
   if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
-  record t (T_map_zero vpn)
+  record t op
+
+let map_zero t ~vpn = bind t vpn (Phys_mem.zero_frame t.phys) (T_map_zero vpn)
 
 let map_data t ~vpn data =
   if String.length data > Page.size then
     invalid_arg "Addr_space.map_data: more than a page";
   let f = Phys_mem.alloc_data t.phys ~account:t.account ~owner:t.gen data in
-  t.map <- Ptmap.add vpn f t.map;
-  tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
-  record t (T_map_data (vpn, data))
+  bind t vpn f (T_map_data (vpn, data))
 
 (* Map [data] through the system-global dedup table: tenants booting the
    same image resolve the same read-only frame, and the first store COWs it
@@ -206,10 +186,7 @@ let map_dedup t ~vpn data =
     invalid_arg "Addr_space.map_dedup: more than a page";
   let f = Phys_mem.dedup_frame t.phys data in
   t.dedup_held <- f :: t.dedup_held;
-  t.map <- Ptmap.add vpn f t.map;
-  tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
-  record t (T_map_data (vpn, data))
+  bind t vpn f (T_map_data (vpn, data))
 
 let drop_dedup_refs t =
   let held = t.dedup_held in
@@ -225,7 +202,7 @@ let map_shared t ~vpn =
   | Some _ ->
     (* already shared system-wide; just drop any private shadow *)
     t.map <- Ptmap.remove vpn t.map;
-    tlb_invalidate t vpn
+    Tlb.invalidate t.tlb vpn
   | None ->
     let f = Phys_mem.alloc t.phys ~owner:shared_owner in
     (match Ptmap.find_opt vpn t.map with
@@ -234,7 +211,7 @@ let map_shared t ~vpn =
       t.map <- Ptmap.remove vpn t.map
     | None -> ());
     Phys_mem.set_shared_page t.phys ~vpn f;
-    tlb_invalidate t vpn
+    Tlb.invalidate t.tlb vpn
 
 let is_shared t ~vpn = shared_frame t vpn <> None
 
@@ -244,7 +221,7 @@ let unmap t ~vpn =
      entry stays so sibling machines on the same [Phys_mem] keep it. *)
   if Phys_mem.shared_page t.phys ~vpn <> None then
     t.shared_hidden <- Ptmap.add vpn () t.shared_hidden;
-  tlb_invalidate t vpn;
+  Tlb.invalidate t.tlb vpn;
   if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.unmap;
   record t (T_unmap vpn)
 
@@ -298,31 +275,18 @@ let read_u64 t addr =
 
 let read_bytes t ~addr ~len =
   let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let off = Page.offset_of_addr a in
-    let chunk = min (len - !pos) (Page.size - off) in
-    let f = lookup t (Page.vpn_of_addr a) Read a in
-    Bytes.blit f.Phys_mem.bytes off out !pos chunk;
-    pos := !pos + chunk
-  done;
+  Page.iter_chunks ~addr ~len (fun a off pos chunk ->
+      let f = lookup t (Page.vpn_of_addr a) Read a in
+      Bytes.blit f.Phys_mem.bytes off out pos chunk);
   out
 
 let write_bytes t ~addr data =
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let off = Page.offset_of_addr a in
-    let chunk = min (len - !pos) (Page.size - off) in
-    let f = writable_frame t (Page.vpn_of_addr a) a in
-    Bytes.blit_string data !pos f.Phys_mem.bytes off chunk;
-    (match t.trace with
-    | None -> ()
-    | Some sink -> sink (T_write_bytes (a, String.sub data !pos chunk)));
-    pos := !pos + chunk
-  done
+  Page.iter_chunks ~addr ~len:(String.length data) (fun a off pos chunk ->
+      let f = writable_frame t (Page.vpn_of_addr a) a in
+      Bytes.blit_string data pos f.Phys_mem.bytes off chunk;
+      match t.trace with
+      | None -> ()
+      | Some sink -> sink (T_write_bytes (a, String.sub data pos chunk)))
 
 let write_u64 t addr v =
   let off = Page.offset_of_addr addr in
@@ -344,26 +308,32 @@ let write_u64 t addr v =
 (* {1 Snapshots} *)
 
 let seal t =
-  tlb_flush t;
+  Tlb.flush t.tlb;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
   record t T_seal
 
 let snapshot t =
   t.metrics.snapshots <- t.metrics.snapshots + 1;
-  tlb_flush t;
   let s = { snap_id = t.next_snap_id; snap_map = t.map } in
   t.next_snap_id <- t.next_snap_id + 1;
   (* From now on every frame in [s] belongs to a retired generation, so the
-     next store to any of them COWs.  Capture itself copies nothing. *)
+     next store to any of them COWs.  Capture itself copies nothing, and
+     leaves the TLB warm: the map is unchanged and entries carry no
+     writability. *)
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
   record t (T_snapshot s.snap_id);
   s
 
+(* Only the vpns whose binding differs between the outgoing map and [s]
+   lose their translation (the simulation's VPID/ASID analogue).  Frames
+   freed or adopted around a restore are private to one of the two paths,
+   so their vpns are in that diff: the TLB ends up exactly as a flush plus
+   refills would leave it. *)
 let restore t s =
   t.metrics.restores <- t.metrics.restores + 1;
-  tlb_flush t;
+  Ptmap.diff_iter frame_eq ~absent:Phys_mem.no_frame t.unbind t.map s.snap_map;
   t.map <- s.snap_map;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
@@ -384,22 +354,22 @@ let restore t s =
    [owner >= 0] guard admits only frames some live-or-retired private
    generation allocated. *)
 
-let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y
+(* The frames a delta may free or adopt (see above); also rejects the
+   [no_frame] sentinel. *)
+let private_frame phys (f : Phys_mem.frame) =
+  f != Phys_mem.zero_frame phys && f.owner >= 0 && not f.freed
 
-(* Free the now-side frames of [delta]: entries added or replaced relative
-   to the base.  Frames only present on the base side (unmapped later) stay
-   — the base still references them. *)
-let free_delta phys delta =
-  let zero = Phys_mem.zero_frame phys in
-  List.fold_left
-    (fun n (_vpn, _before, now) ->
-      match now with
-      | Some (f : Phys_mem.frame)
-        when f != zero && f.owner >= 0 && not f.freed ->
-        Phys_mem.free_frame phys f;
-        n + 1
-      | Some _ | None -> n)
-    0 delta
+(* Free the now-side frames of the delta from [base] to [now]: entries
+   added or replaced relative to the base.  Frames only present on the base
+   side (unmapped later) stay — the base still references them.  The count
+   comes from the allocator's [frames_freed] counter. *)
+let free_delta phys ~base now =
+  let freed0 = (Phys_mem.metrics phys).frames_freed in
+  Ptmap.diff_iter frame_eq ~absent:Phys_mem.no_frame
+    (fun _vpn _before f ->
+      if private_frame phys f then Phys_mem.free_frame phys f)
+    base now;
+  (Phys_mem.metrics phys).frames_freed - freed0
 
 (* Release a dead snapshot: return the frames it acquired since [parent] to
    the allocator.  The caller asserts the snapshot left the frontier, every
@@ -408,9 +378,7 @@ let free_delta phys delta =
    makes each of those checkable.  Takes the physical memory, not the
    address space: releases happen after the machine restored away. *)
 let release_snapshot ~phys ~parent s =
-  let freed =
-    free_delta phys (Ptmap.sym_diff frame_eq parent.snap_map s.snap_map)
-  in
+  let freed = free_delta phys ~base:parent.snap_map s.snap_map in
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:s.snap_id ~b:freed Obs.Names.snap_release;
   freed
@@ -421,7 +389,7 @@ let release_snapshot ~phys ~parent s =
    map in between) and when the caller restores another snapshot
    immediately after, before any further access through the map. *)
 let discard_segment t ~base =
-  free_delta t.phys (Ptmap.sym_diff frame_eq base.snap_map t.map)
+  free_delta t.phys ~base:base.snap_map t.map
 
 (* Restore [s] knowing it is the last reference to its branch: the frames
    it holds beyond [parent] become ours to write in place, instead of being
@@ -430,20 +398,15 @@ let discard_segment t ~base =
    under it). *)
 let restore_adopt t ~parent s =
   restore t s;
-  let gen = t.gen in
-  let adopted =
-    List.fold_left
-      (fun n (_vpn, _before, now) ->
-        match now with
-        | Some (f : Phys_mem.frame)
-          when f != Phys_mem.zero_frame t.phys
-               && f.owner >= 0 && not f.freed ->
-          Phys_mem.adopt_frame t.phys f ~owner:gen;
-          n + 1
-        | Some _ | None -> n)
-      0
-      (Ptmap.sym_diff frame_eq parent.snap_map s.snap_map)
-  in
+  let phys = t.phys and gen = t.gen in
+  (* adoption re-stamps each frame from the fresh-frame sequence, so the
+     ordinal's advance is the count *)
+  let ordinal0 = Phys_mem.next_frame_ordinal phys in
+  Ptmap.diff_iter frame_eq ~absent:Phys_mem.no_frame
+    (fun _vpn _before f ->
+      if private_frame phys f then Phys_mem.adopt_frame phys f ~owner:gen)
+    parent.snap_map s.snap_map;
+  let adopted = Phys_mem.next_frame_ordinal phys - ordinal0 in
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:adopted Obs.Names.frame_adopt;
   adopted
@@ -457,22 +420,22 @@ let restore_adopt t ~parent s =
    belong to retired generations and are pinned by the queued item's
    snapshot reference) for the duration of the call. *)
 let import_delta t ~base ~target =
-  List.fold_left
-    (fun n (vpn, _before, now) ->
-      (match (now : Phys_mem.frame option) with
-      | Some f ->
+  let n = ref 0 in
+  Ptmap.diff_iter frame_eq ~absent:Phys_mem.no_frame
+    (fun vpn _before (f : Phys_mem.frame) ->
+      incr n;
+      if f == Phys_mem.no_frame then unmap t ~vpn
+      else
         (* the blit in [alloc_data] copies the foreign bytes before this
            call returns; avoid the extra copy unless a trace sink would
            retain the string past the frame's lifetime *)
         let data =
-          if t.trace = None then Bytes.unsafe_to_string f.Phys_mem.bytes
-          else Bytes.to_string f.Phys_mem.bytes
+          if t.trace = None then Bytes.unsafe_to_string f.bytes
+          else Bytes.to_string f.bytes
         in
-        map_data t ~vpn data
-      | None -> unmap t ~vpn);
-      n + 1)
-    0
-    (Ptmap.sym_diff frame_eq base.snap_map target.snap_map)
+        map_data t ~vpn data)
+    base.snap_map target.snap_map;
+  !n
 
 (* {1 Byte-level deltas}
 
@@ -520,7 +483,7 @@ let restore_pages t ~base ~pages ~dead =
   | Some b -> restore t b
   | None ->
     t.metrics.restores <- t.metrics.restores + 1;
-    tlb_flush t;
+    Tlb.flush t.tlb;
     t.map <- Ptmap.empty;
     t.gen <- Phys_mem.fresh_generation t.phys;
     t.epoch <- t.epoch + 1);
@@ -542,18 +505,27 @@ let distinct_frames snaps =
   Hashtbl.length seen
 
 let delta_pages a b =
-  let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y in
   List.length (Ptmap.sym_diff frame_eq a.snap_map b.snap_map)
 
 let snapshot_map_for_debug s = s.snap_map
-
-let immutable_frame t ~addr =
-  match Ptmap.find_opt (Page.vpn_of_addr addr) t.map with
-  | Some (f : Phys_mem.frame) when f.owner <> t.gen && f.owner <> shared_owner ->
-    Some (f.id, f.bytes)
-  | Some _ | None -> None
 
 let frame_is_immutable t (f : Phys_mem.frame) =
   f.owner <> t.gen && f.owner <> shared_owner
 
 let reading_frame t addr = lookup t (Page.vpn_of_addr addr) Read addr
+
+let audit_tlb t =
+  let epoch = Phys_mem.share_epoch t.phys in
+  if t.seen_share_epoch <> epoch then share_catch_up t epoch;
+  Tlb.iter
+    (fun vpn (f : Phys_mem.frame) ->
+      let fail what =
+        failwith
+          (Printf.sprintf "Addr_space.audit_tlb: vpn %#x caches frame %d, %s"
+             vpn f.id what)
+      in
+      match resolve t vpn with
+      | None -> fail "but the vpn is unmapped"
+      | Some g when g != f -> fail (Printf.sprintf "but maps frame %d" g.id)
+      | Some _ -> if f.freed then fail "which is freed")
+    t.tlb

@@ -8,8 +8,9 @@
     Stores check the owning generation of the target frame: a mismatch is a
     simulated COW page fault, serviced by copying exactly one 4 KiB frame —
     the same event the paper's nested-page-table implementation takes in
-    hardware.  A direct-mapped TLB sits in front of the trie and is flushed
-    on snapshot capture and restore, mirroring the hardware cost model. *)
+    hardware.  A direct-mapped TLB caches translations (never writability)
+    in front of the trie: capture keeps it, restore invalidates only the
+    vpns whose binding differs — a VPID/ASID-tagged TLB's analogue. *)
 
 type access = Read | Write
 
@@ -229,13 +230,6 @@ val reading_frame : t -> int -> Phys_mem.frame
     {!generation} is immutable until COW'd, which callers may exploit for
     caching. @raise Page_fault when unmapped. *)
 
-val immutable_frame : t -> addr:int -> (int * Bytes.t) option
-(** [Some (frame_id, bytes)] when the page backing [addr] is owned by a
-    retired generation and therefore can never change in place (any write
-    COWs it into a fresh frame with a fresh id).  This is what makes
-    decoded-instruction caches sound: a cache keyed by frame id needs no
-    invalidation.  [None] while the frame is still writable in place. *)
-
 val frame_is_immutable : t -> Phys_mem.frame -> bool
 (** Whether a frame already resolved (e.g. via {!reading_frame}) can never
     change in place under this address space: it is owned neither by the
@@ -243,3 +237,7 @@ val frame_is_immutable : t -> Phys_mem.frame -> bool
     (shared pages are written in place on every path, so they must never
     be decode- or block-cached).  The predicate the interpreter's decode
     and superinstruction caches gate on. *)
+
+val audit_tlb : t -> unit
+(** Debug check: every valid TLB entry must hold the unfreed frame a fresh
+    walk finds. @raise Failure naming the first incoherent entry. *)

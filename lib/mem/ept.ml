@@ -23,15 +23,10 @@ type t = {
   mutable root : node;
   mutable gen : int;
   mutable pages : int;
-  tlb_vpn : int array;
-  mutable tlb_frame : Phys_mem.frame array;
+  tlb : Tlb.t;
 }
 
 type snapshot = { snap_root : node; snap_pages : int }
-
-let tlb_bits = 8
-let tlb_size = 1 lsl tlb_bits
-let tlb_mask = tlb_size - 1
 
 exception Unmapped
 
@@ -39,28 +34,15 @@ let fresh_node t =
   { owner = t.gen; slots = Array.make fanout Empty }
 
 let create phys =
-  let zero = Phys_mem.zero_frame phys in
   let gen = Phys_mem.fresh_generation phys in
-  let t =
-    { phys;
-      metrics = Phys_mem.metrics phys;
-      root = { owner = gen; slots = Array.make fanout Empty };
-      gen;
-      pages = 0;
-      tlb_vpn = Array.make tlb_size (-1);
-      tlb_frame = Array.make tlb_size zero }
-  in
-  t
+  { phys;
+    metrics = Phys_mem.metrics phys;
+    root = { owner = gen; slots = Array.make fanout Empty };
+    gen;
+    pages = 0;
+    tlb = Tlb.create phys }
 
 let metrics t = t.metrics
-
-let tlb_flush t =
-  Array.fill t.tlb_vpn 0 tlb_size (-1);
-  t.metrics.tlb_flushes <- t.metrics.tlb_flushes + 1
-
-let tlb_invalidate t vpn =
-  let i = vpn land tlb_mask in
-  if t.tlb_vpn.(i) = vpn then t.tlb_vpn.(i) <- -1
 
 let index vpn level = (vpn lsr (bits_per_level * level)) land level_mask
 
@@ -120,7 +102,7 @@ let set_leaf t vpn entry =
   | Empty, (Frame _ | Table _) -> t.pages <- t.pages + 1
   | (Frame _ | Table _), Empty -> t.pages <- t.pages - 1
   | Empty, Empty | (Frame _ | Table _), (Frame _ | Table _) -> ());
-  tlb_invalidate t vpn
+  Tlb.invalidate t.tlb vpn
 
 let map_zero t ~vpn = set_leaf t vpn (Frame (Phys_mem.zero_frame t.phys))
 
@@ -137,21 +119,14 @@ let is_mapped t ~vpn =
 let mapped_pages t = t.pages
 
 let lookup t vpn access addr =
-  let i = vpn land tlb_mask in
-  if t.tlb_vpn.(i) = vpn then begin
-    t.metrics.tlb_hits <- t.metrics.tlb_hits + 1;
-    t.tlb_frame.(i)
-  end
-  else begin
-    t.metrics.tlb_misses <- t.metrics.tlb_misses + 1;
-    t.metrics.pt_walks <- t.metrics.pt_walks + 1;
+  let f = Tlb.find t.tlb vpn in
+  if f != Phys_mem.no_frame then f
+  else
     match walk t vpn with
     | f ->
-      t.tlb_vpn.(i) <- vpn;
-      t.tlb_frame.(i) <- f;
+      Tlb.fill t.tlb vpn f;
       f
     | exception Unmapped -> raise (Addr_space.Page_fault { addr; access })
-  end
 
 let writable_frame t vpn addr =
   let f = lookup t vpn Addr_space.Write addr in
@@ -170,8 +145,7 @@ let writable_frame t vpn addr =
     in
     let leaf = walk_mut t vpn in
     leaf.slots.(index vpn 0) <- Frame f';
-    let i = vpn land tlb_mask in
-    if t.tlb_vpn.(i) = vpn then t.tlb_frame.(i) <- f';
+    Tlb.update t.tlb vpn f';
     f'
   end
 
@@ -210,39 +184,29 @@ let write_u64 t addr v =
 
 let read_bytes t ~addr ~len =
   let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let off = Page.offset_of_addr a in
-    let chunk = min (len - !pos) (Page.size - off) in
-    let f = lookup t (Page.vpn_of_addr a) Addr_space.Read a in
-    Bytes.blit f.Phys_mem.bytes off out !pos chunk;
-    pos := !pos + chunk
-  done;
+  Page.iter_chunks ~addr ~len (fun a off pos chunk ->
+      let f = lookup t (Page.vpn_of_addr a) Addr_space.Read a in
+      Bytes.blit f.Phys_mem.bytes off out pos chunk);
   out
 
 let write_bytes t ~addr data =
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let off = Page.offset_of_addr a in
-    let chunk = min (len - !pos) (Page.size - off) in
-    let f = writable_frame t (Page.vpn_of_addr a) a in
-    Bytes.blit_string data !pos f.Phys_mem.bytes off chunk;
-    pos := !pos + chunk
-  done
+  Page.iter_chunks ~addr ~len:(String.length data) (fun a off pos chunk ->
+      let f = writable_frame t (Page.vpn_of_addr a) a in
+      Bytes.blit_string data pos f.Phys_mem.bytes off chunk)
 
+(* The fidelity backend keeps the untagged-hardware policy: the TLB is
+   flushed on capture and restore (contrast [Addr_space.restore], which
+   invalidates only the vpns whose binding differs). *)
 let snapshot t =
   t.metrics.snapshots <- t.metrics.snapshots + 1;
-  tlb_flush t;
+  Tlb.flush t.tlb;
   let s = { snap_root = t.root; snap_pages = t.pages } in
   t.gen <- Phys_mem.fresh_generation t.phys;
   s
 
 let restore t s =
   t.metrics.restores <- t.metrics.restores + 1;
-  tlb_flush t;
+  Tlb.flush t.tlb;
   t.root <- s.snap_root;
   t.pages <- s.snap_pages;
   t.gen <- Phys_mem.fresh_generation t.phys

@@ -34,6 +34,3 @@ val distinct_frames : snapshot list -> int
 
 val levels : int
 (** Radix levels in the table (4, as in x86-64 long mode). *)
-
-val fanout : int
-(** Entries per table node (512). *)

@@ -24,13 +24,6 @@ let create () =
     pt_node_copies = 0;
     frames_freed = 0; frames_recycled = 0; zero_fills_elided = 0 }
 
-let reset t =
-  t.cow_faults <- 0; t.zero_fills <- 0; t.pages_copied <- 0;
-  t.bytes_copied <- 0; t.frames_allocated <- 0; t.snapshots <- 0;
-  t.restores <- 0; t.tlb_hits <- 0; t.tlb_misses <- 0; t.tlb_flushes <- 0;
-  t.tlb_shootdowns <- 0; t.pt_walks <- 0; t.pt_node_copies <- 0;
-  t.frames_freed <- 0; t.frames_recycled <- 0; t.zero_fills_elided <- 0
-
 let add acc x =
   acc.cow_faults <- acc.cow_faults + x.cow_faults;
   acc.zero_fills <- acc.zero_fills + x.zero_fills;

@@ -29,7 +29,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 

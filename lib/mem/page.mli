@@ -26,3 +26,9 @@ val round_up : int -> int
 
 val round_down : int -> int
 val is_aligned : int -> bool
+
+val iter_chunks : addr:int -> len:int -> (int -> int -> int -> int -> unit) -> unit
+(** [iter_chunks ~addr ~len f] splits [addr, addr + len) at page
+    boundaries and calls [f a off pos chunk] for each piece in address
+    order: [a] is its first address, [off] its page offset, [pos] its
+    offset into the range and [chunk] its length. *)

@@ -102,6 +102,11 @@ let zero_generation = 0
    never written in place: a store through them always COWs. *)
 let dedup_owner = -2
 
+(* Freed from birth and owned by no real generation, so the lifecycle
+   guards ([owner >= 0], [not freed]) skip it wherever it travels. *)
+let no_frame =
+  { id = -1; bytes = Bytes.empty; owner = -3; freed = true; account = 0 }
+
 let create ?(capacity = 0) ?(track_live = false) ?(recycle = true)
     ?(poison = false) () =
   if capacity < 0 then invalid_arg "Phys_mem.create: negative capacity";
@@ -128,8 +133,6 @@ let zero_frame t = t.zero
 
 let capacity t = t.capacity
 let recycling t = t.recycle
-let set_poison t b = t.poison <- b
-let poisoning t = t.poison
 let free_buffers t = t.free_len
 let frames_live t = Atomic.get t.live
 let peak_frames_live t = t.peak_live
@@ -424,7 +427,6 @@ let share_changes_since t ~seen ~f =
     done;
     true
   end
-let shared_page_count t = Hashtbl.length t.shared_pages
 let shared_vpns t = Hashtbl.fold (fun vpn _ acc -> vpn :: acc) t.shared_pages []
 
 let fresh_generation t =

@@ -109,6 +109,10 @@ val zero_frame : t -> frame
     reserved generation that never matches a live one, so the first store
     always COWs it. *)
 
+val no_frame : frame
+(** A sentinel no page map ever binds, compared by physical equality: the
+    [~absent] side of page-map diffs and the miss answer of [Tlb.find]. *)
+
 val alloc : ?account:int -> t -> owner:int -> frame
 (** A fresh zero-filled frame owned by [owner] — genuine demand-zero
     materialisation, so a recycled buffer is re-zeroed here.  [account]
@@ -141,8 +145,6 @@ val adopt_frame : t -> frame -> owner:int -> unit
     frames-never-change-in-place invariant). *)
 
 val recycling : t -> bool
-val poisoning : t -> bool
-val set_poison : t -> bool -> unit
 val free_buffers : t -> int
 (** Buffers currently pooled in the free list. *)
 
@@ -156,7 +158,6 @@ val shared_page : t -> vpn:int -> frame option
 
 val set_shared_page : t -> vpn:int -> frame -> unit
 val clear_shared_page : t -> vpn:int -> unit
-val shared_page_count : t -> int
 val shared_vpns : t -> int list
 
 val share_epoch : t -> int

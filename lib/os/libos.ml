@@ -367,75 +367,77 @@ let stop_trace_name = function
 let icache_counts t = Option.map Interp.icache_counts t.icache
 let block_counts t = Option.map Interp.block_counts t.icache
 
-let run t ~fuel =
-  let cpu = t.cpu in
-  let fuel = if t.os.timeout > 0 then min fuel t.os.timeout else fuel in
-  let rec loop remaining =
-    if remaining <= 0 then Killed Fuel_exhausted
-    else begin
-      let retired_before = cpu.Cpu.retired in
-      let exit = Interp.run ?icache:t.icache cpu t.aspace ~fuel:remaining in
-      let used = max 1 (cpu.Cpu.retired - retired_before) in
-      let remaining = remaining - used in
-      match exit with
-      | Interp.Out_of_fuel -> Killed Fuel_exhausted
-      | Interp.Halt -> Exited { status = Cpu.get cpu Reg.rdi }
-      | Interp.Fault (Interp.Page_fault { addr; _ } as f) ->
-        if service_page_fault t addr then loop remaining else Killed (Fault f)
-      | Interp.Fault f -> Killed (Fault f)
-      | Interp.Syscall ->
-        let number = Cpu.get cpu Reg.rax in
-        let arg0 = Cpu.get cpu Reg.rdi in
-        let arg1 = Cpu.get cpu Reg.rsi in
-        let arg2 = Cpu.get cpu Reg.rdx in
-        count_syscall t number;
-        let traced = Obs.Trace.enabled () in
-        (* The guess family (and exit) suspend the guest rather than
-           return into it, so they trace as instants — the time until
-           resume belongs to the scheduler, not the syscall. *)
-        if traced && (number = Sys_abi.sys_exit || (number >= Sys_abi.sys_guess && number <= Sys_abi.sys_guess_hint))
-        then Obs.Trace.instant ~a:arg0 (sys_span_name number);
-        if number = Sys_abi.sys_exit then Exited { status = arg0 }
-        else if number = Sys_abi.sys_guess then Guess { n = arg0 }
-        else if number = Sys_abi.sys_guess_fail then Guess_fail
-        else if number = Sys_abi.sys_guess_strategy then Guess_strategy { strategy = arg0 }
-        else if number = Sys_abi.sys_guess_hint then Guess_hint { dist = arg0 }
-        else begin
-          if traced then Obs.Trace.span_begin ~a:arg0 (sys_span_name number);
-          let result =
-            if number = Sys_abi.sys_write then do_write t arg0 arg1 arg2
-            else if number = Sys_abi.sys_read then do_read t arg0 arg1 arg2
-            else if number = Sys_abi.sys_open then do_open t arg0 arg1
-            else if number = Sys_abi.sys_close then do_close t arg0
-            else if number = Sys_abi.sys_brk then do_brk t arg0
-            else if number = Sys_abi.sys_lseek then do_lseek t arg0 arg1 arg2
-            else if number = Sys_abi.sys_unlink then do_unlink t arg0
-            else if number = Sys_abi.sys_vtime then cpu.Cpu.retired
-            else if number = Sys_abi.sys_timeout then begin
-              if arg0 < 0 then -Sys_abi.einval
-              else begin
-                t.os <- { t.os with timeout = arg0 };
-                0
-              end
-            end
-            else if number = Sys_abi.sys_share then do_share t arg0 arg1
-            else if number = Sys_abi.sys_socket || number = Sys_abi.sys_ioctl then begin
-              t.counters.denied <- t.counters.denied + 1;
-              -Sys_abi.enotsup
-            end
+(* Top-level rather than a local closure, so a resume allocates nothing
+   before the guest runs. *)
+let rec run_loop t cpu remaining =
+  if remaining <= 0 then Killed Fuel_exhausted
+  else begin
+    let retired_before = cpu.Cpu.retired in
+    let exit = Interp.run ?icache:t.icache cpu t.aspace ~fuel:remaining in
+    let used = max 1 (cpu.Cpu.retired - retired_before) in
+    let remaining = remaining - used in
+    match exit with
+    | Interp.Out_of_fuel -> Killed Fuel_exhausted
+    | Interp.Halt -> Exited { status = Cpu.get cpu Reg.rdi }
+    | Interp.Fault (Interp.Page_fault { addr; _ } as f) ->
+      if service_page_fault t addr then run_loop t cpu remaining
+      else Killed (Fault f)
+    | Interp.Fault f -> Killed (Fault f)
+    | Interp.Syscall ->
+      let number = Cpu.get cpu Reg.rax in
+      let arg0 = Cpu.get cpu Reg.rdi in
+      let arg1 = Cpu.get cpu Reg.rsi in
+      let arg2 = Cpu.get cpu Reg.rdx in
+      count_syscall t number;
+      let traced = Obs.Trace.enabled () in
+      (* The guess family (and exit) suspend the guest rather than
+         return into it, so they trace as instants — the time until
+         resume belongs to the scheduler, not the syscall. *)
+      if traced && (number = Sys_abi.sys_exit || (number >= Sys_abi.sys_guess && number <= Sys_abi.sys_guess_hint))
+      then Obs.Trace.instant ~a:arg0 (sys_span_name number);
+      if number = Sys_abi.sys_exit then Exited { status = arg0 }
+      else if number = Sys_abi.sys_guess then Guess { n = arg0 }
+      else if number = Sys_abi.sys_guess_fail then Guess_fail
+      else if number = Sys_abi.sys_guess_strategy then Guess_strategy { strategy = arg0 }
+      else if number = Sys_abi.sys_guess_hint then Guess_hint { dist = arg0 }
+      else begin
+        if traced then Obs.Trace.span_begin ~a:arg0 (sys_span_name number);
+        let result =
+          if number = Sys_abi.sys_write then do_write t arg0 arg1 arg2
+          else if number = Sys_abi.sys_read then do_read t arg0 arg1 arg2
+          else if number = Sys_abi.sys_open then do_open t arg0 arg1
+          else if number = Sys_abi.sys_close then do_close t arg0
+          else if number = Sys_abi.sys_brk then do_brk t arg0
+          else if number = Sys_abi.sys_lseek then do_lseek t arg0 arg1 arg2
+          else if number = Sys_abi.sys_unlink then do_unlink t arg0
+          else if number = Sys_abi.sys_vtime then cpu.Cpu.retired
+          else if number = Sys_abi.sys_timeout then begin
+            if arg0 < 0 then -Sys_abi.einval
             else begin
-              t.counters.denied <- t.counters.denied + 1;
-              -Sys_abi.enosys
+              t.os <- { t.os with timeout = arg0 };
+              0
             end
-          in
-          if traced then Obs.Trace.span_end ~b:result (sys_span_name number);
-          (match t.sys_hook with None -> () | Some f -> f number result);
-          Cpu.set cpu Reg.rax result;
-          loop remaining
-        end
-    end
-  in
-  loop fuel
+          end
+          else if number = Sys_abi.sys_share then do_share t arg0 arg1
+          else if number = Sys_abi.sys_socket || number = Sys_abi.sys_ioctl then begin
+            t.counters.denied <- t.counters.denied + 1;
+            -Sys_abi.enotsup
+          end
+          else begin
+            t.counters.denied <- t.counters.denied + 1;
+            -Sys_abi.enosys
+          end
+        in
+        if traced then Obs.Trace.span_end ~b:result (sys_span_name number);
+        (match t.sys_hook with None -> () | Some f -> f number result);
+        Cpu.set cpu Reg.rax result;
+        run_loop t cpu remaining
+      end
+  end
+
+let run t ~fuel =
+  let fuel = if t.os.timeout > 0 then min fuel t.os.timeout else fuel in
+  run_loop t t.cpu fuel
 
 let pp_reason fmt = function
   | Fault f -> Interp.pp_fault fmt f

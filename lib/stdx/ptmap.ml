@@ -171,42 +171,117 @@ let rec equal eqv a b =
     p0 = p1 && m0 = m1 && equal eqv l0 l1 && equal eqv r0 r1
   | (Empty | Leaf _ | Branch _), _ -> false
 
-(* Diff two tries, pruning physically-equal subtrees.  When the shapes do not
-   line up we fall back to enumerating both sides through a scratch table. *)
-let sym_diff eqv a b =
-  if a == b then []
-  else begin
-    let acc = ref [] in
-    let tbl : (int, 'a option * 'a option) Hashtbl.t = Hashtbl.create 64 in
-    let note_left k v =
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k (Some v, None)
-      | Some (_, r) -> Hashtbl.replace tbl k (Some v, r)
-    in
-    let note_right k v =
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k (None, Some v)
-      | Some (l, _) -> Hashtbl.replace tbl k (l, Some v)
-    in
-    let rec go x y =
-      if x == y then ()
-      else
-        match x, y with
-        | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
-          go l0 l1; go r0 r1
-        | _, _ ->
-          iter note_left x;
-          iter note_right y
-    in
-    go a b;
-    Hashtbl.iter
-      (fun k -> function
-        | Some v, Some w -> if not (eqv v w) then acc := (k, Some v, Some w) :: !acc
-        | (None, None) as both -> ignore both
-        | l, r -> acc := (k, l, r) :: !acc)
-      tbl;
-    !acc
-  end
+(* {1 Diff walk}
+
+   [walk_diff] merges two tries structurally, the way [union] does:
+   physically equal subtrees are pruned, matching branches recurse pairwise,
+   and a subtree present on one side only is reported wholesale.  Nothing is
+   allocated beyond what the callback does.  Every reported side goes
+   through [inj] so the same walk serves both the sentinel-based
+   [diff_iter] ([inj] = identity) and the option-based [sym_diff]. *)
+
+let rec iter_left inj absent f = function
+  | Empty -> ()
+  | Leaf (k, v) -> f k (inj v) absent
+  | Branch (_, _, l, r) -> iter_left inj absent f l; iter_left inj absent f r
+
+let rec iter_right inj absent f = function
+  | Empty -> ()
+  | Leaf (k, v) -> f k absent (inj v)
+  | Branch (_, _, l, r) -> iter_right inj absent f l; iter_right inj absent f r
+
+(* The single binding [k -> v] on the left against the trie [t]. *)
+let rec leaf_left eq inj absent f k v t =
+  match t with
+  | Empty -> f k (inj v) absent
+  | Leaf (j, w) ->
+    if j = k then (if not (eq v w) then f k (inj v) (inj w))
+    else begin
+      f k (inj v) absent;
+      f j absent (inj w)
+    end
+  | Branch (p, m, l, r) ->
+    if not (match_prefix k p m) then begin
+      f k (inj v) absent;
+      iter_right inj absent f t
+    end
+    else if zero_bit k m then begin
+      leaf_left eq inj absent f k v l;
+      iter_right inj absent f r
+    end
+    else begin
+      iter_right inj absent f l;
+      leaf_left eq inj absent f k v r
+    end
+
+(* The trie [t] on the left against the single binding [k -> w] on the
+   right. *)
+let rec leaf_right eq inj absent f t k w =
+  match t with
+  | Empty -> f k absent (inj w)
+  | Leaf (j, v) ->
+    if j = k then (if not (eq v w) then f k (inj v) (inj w))
+    else begin
+      f j (inj v) absent;
+      f k absent (inj w)
+    end
+  | Branch (p, m, l, r) ->
+    if not (match_prefix k p m) then begin
+      iter_left inj absent f t;
+      f k absent (inj w)
+    end
+    else if zero_bit k m then begin
+      leaf_right eq inj absent f l k w;
+      iter_left inj absent f r
+    end
+    else begin
+      iter_left inj absent f l;
+      leaf_right eq inj absent f r k w
+    end
+
+let rec walk_diff eq inj absent f a b =
+  if a != b then
+    match a, b with
+    | Empty, t -> iter_right inj absent f t
+    | t, Empty -> iter_left inj absent f t
+    | Leaf (k, v), t -> leaf_left eq inj absent f k v t
+    | t, Leaf (k, w) -> leaf_right eq inj absent f t k w
+    | Branch (p, m, l0, r0), Branch (q, n, l1, r1) ->
+      if m = n && p = q then begin
+        walk_diff eq inj absent f l0 l1;
+        walk_diff eq inj absent f r0 r1
+      end
+      else if mask_lt m n && match_prefix q p m then
+        (* [b] fits inside one side of [a]. *)
+        if zero_bit q m then begin
+          walk_diff eq inj absent f l0 b;
+          iter_left inj absent f r0
+        end
+        else begin
+          iter_left inj absent f l0;
+          walk_diff eq inj absent f r0 b
+        end
+      else if mask_lt n m && match_prefix p q n then
+        if zero_bit p n then begin
+          walk_diff eq inj absent f a l1;
+          iter_right inj absent f r1
+        end
+        else begin
+          iter_right inj absent f l1;
+          walk_diff eq inj absent f a r1
+        end
+      else begin
+        (* disjoint prefixes: no key in common *)
+        iter_left inj absent f a;
+        iter_right inj absent f b
+      end
+
+let diff_iter eq ~absent f a b = walk_diff eq Fun.id absent f a b
+
+let sym_diff eq a b =
+  let acc = ref [] in
+  walk_diff eq Option.some None (fun k x y -> acc := (k, x, y) :: !acc) a b;
+  !acc
 
 let pp ppv fmt t =
   Format.fprintf fmt "@[<hov 1>{";

@@ -43,12 +43,24 @@ val union : (int -> 'a -> 'a -> 'a) -> 'a t -> 'a t -> 'a t
 (** [union f a b] contains all keys of [a] and [b]; keys present in both are
     combined with [f]. *)
 
+val diff_iter :
+  ('a -> 'a -> bool) -> absent:'a -> (int -> 'a -> 'a -> unit) -> 'a t -> 'a t -> unit
+(** [diff_iter eq ~absent f a b] calls [f k x y] once for every key [k]
+    whose bindings differ between [a] and [b]: [x] is [k]'s binding in [a]
+    and [y] its binding in [b], with [absent] standing in for a side that
+    does not bind [k].  Keys bound on both sides are reported only when
+    [eq] rejects the pair.  The walk merges the two tries structurally:
+    physically equal subtrees are pruned, so diffing two snapshots of the
+    same lineage costs in proportion to the pages that differ, not to the
+    address-space size, and nothing is allocated beyond what [f] does.
+    Callers pick an [absent] they can tell apart from every real binding
+    (physical equality against a sentinel).  Keys are visited in no
+    particular order. *)
+
 val sym_diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> (int * 'a option * 'a option) list
-(** [sym_diff eq a b] lists the keys whose bindings differ between [a] and
-    [b] (missing bindings reported as [None]).  Shared subtrees are pruned by
-    physical equality, which makes diffing two snapshots of the same lineage
-    proportional to the number of COW'd pages, not to the address-space
-    size. *)
+(** [sym_diff eq a b] lists what {!diff_iter} reports, with missing
+    bindings as [None]: the list form, for consumers that keep the
+    delta. *)
 
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 val bindings : 'a t -> (int * 'a) list

@@ -543,6 +543,43 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
         b_writes = writes;
         b_has_writes = Array.exists Fun.id writes }
 
+(* The per-instruction loops of [exec_block], top-level so dispatching a
+   block allocates no closure.  Run ops [i..limit) of a block of [n]; the
+   result is the terminator's exit, or [None] when the block ran out or
+   was split. *)
+let rec exec_ops cache (cpu : Cpu.t) aspace ops n limit i =
+  if i >= limit then begin
+    if limit < n then cache.block_splits <- cache.block_splits + 1;
+    None
+  end
+  else
+    match (Array.unsafe_get ops i) cpu aspace with
+    | Some _ as exit -> exit (* syscall/hlt terminator: always last *)
+    | None -> exec_ops cache cpu aspace ops n limit (i + 1)
+
+(* As [exec_ops], re-checking the fetch mapping after every store. *)
+let rec exec_ops_checked cache (cpu : Cpu.t) aspace (b : block) n limit i =
+  if i >= limit then begin
+    if limit < n then cache.block_splits <- cache.block_splits + 1;
+    None
+  end
+  else
+    match (Array.unsafe_get b.b_ops i) cpu aspace with
+    | Some _ as exit -> exit
+    | None ->
+      if
+        i + 1 < limit
+        && Array.unsafe_get b.b_writes i
+        && (As.reading_frame aspace cpu.rip).Mem.Phys_mem.id <> b.b_fid
+      then begin
+        (* The store COW'd the block's own code page (self-modifying
+           straight-line code): the fused tail decodes stale bytes, so
+           split here and re-dispatch at the — now mutable — frame. *)
+        cache.block_splits <- cache.block_splits + 1;
+        None
+      end
+      else exec_ops_checked cache cpu aspace b n limit (i + 1)
+
 (* Execute up to [budget] instructions of [b] from its head (cpu.rip is the
    head).  Returns the vmexit if one materialised; [None] means every
    instruction retired and either the block is done or the budget ran out —
@@ -557,46 +594,9 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
 let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
   let n = Array.length b.b_ops in
   let limit = if budget < n then budget else n in
-  let ops = b.b_ops in
   match
-    if b.b_has_writes then begin
-      let rec go i =
-        if i >= limit then begin
-          if limit < n then cache.block_splits <- cache.block_splits + 1;
-          None
-        end
-        else
-          match (Array.unsafe_get ops i) cpu aspace with
-          | Some e -> Some e (* syscall/hlt terminator: always last *)
-          | None ->
-            if
-              i + 1 < limit
-              && Array.unsafe_get b.b_writes i
-              && (As.reading_frame aspace cpu.rip).Mem.Phys_mem.id <> b.b_fid
-            then begin
-              (* The store COW'd the block's own code page (self-modifying
-                 straight-line code): the fused tail decodes stale bytes, so
-                 split here and re-dispatch at the — now mutable — frame. *)
-              cache.block_splits <- cache.block_splits + 1;
-              None
-            end
-            else go (i + 1)
-      in
-      go 0
-    end
-    else begin
-      let rec go i =
-        if i >= limit then begin
-          if limit < n then cache.block_splits <- cache.block_splits + 1;
-          None
-        end
-        else
-          match (Array.unsafe_get ops i) cpu aspace with
-          | Some e -> Some e
-          | None -> go (i + 1)
-      in
-      go 0
-    end
+    if b.b_has_writes then exec_ops_checked cache cpu aspace b n limit 0
+    else exec_ops cache cpu aspace b.b_ops n limit 0
   with
   | result -> result
   | exception As.Page_fault { addr; access } ->
@@ -607,70 +607,70 @@ let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
     cache.block_splits <- cache.block_splits + 1;
     Some e
 
-let run_block cache (cpu : Cpu.t) aspace ~fuel =
-  let rec loop remaining =
-    if remaining <= 0 then Out_of_fuel
-    else begin
-      let rip = cpu.rip in
-      let offset = Mem.Page.offset_of_addr rip in
-      if offset > Mem.Page.size - max_insn_bytes then slow_step remaining
-      else
-        match As.reading_frame aspace rip with
-        | exception As.Page_fault { addr; access } ->
-          Fault (Page_fault { rip; addr; access })
-        | frame ->
-          if not (As.frame_is_immutable aspace frame) then slow_step remaining
-          else begin
-            if cache.hot_bfid <> frame.Mem.Phys_mem.id then begin
-              let arr =
-                match Hashtbl.find_opt cache.bframes frame.Mem.Phys_mem.id with
-                | Some arr -> arr
-                | None ->
-                  let arr = Array.make Mem.Page.size None in
-                  Hashtbl.replace cache.bframes frame.Mem.Phys_mem.id arr;
-                  arr
-              in
-              cache.hot_bfid <- frame.Mem.Phys_mem.id;
-              cache.hot_blocks <- arr
-            end;
-            match Array.unsafe_get cache.hot_blocks offset with
+let rec run_block cache (cpu : Cpu.t) aspace ~fuel =
+  if fuel <= 0 then Out_of_fuel
+  else begin
+    let rip = cpu.rip in
+    let offset = Mem.Page.offset_of_addr rip in
+    if offset > Mem.Page.size - max_insn_bytes then
+      slow_block_step cache cpu aspace fuel
+    else
+      match As.reading_frame aspace rip with
+      | exception As.Page_fault { addr; access } ->
+        Fault (Page_fault { rip; addr; access })
+      | frame ->
+        if not (As.frame_is_immutable aspace frame) then
+          slow_block_step cache cpu aspace fuel
+        else begin
+          if cache.hot_bfid <> frame.Mem.Phys_mem.id then begin
+            let arr =
+              match Hashtbl.find_opt cache.bframes frame.Mem.Phys_mem.id with
+              | Some arr -> arr
+              | None ->
+                let arr = Array.make Mem.Page.size None in
+                Hashtbl.replace cache.bframes frame.Mem.Phys_mem.id arr;
+                arr
+            in
+            cache.hot_bfid <- frame.Mem.Phys_mem.id;
+            cache.hot_blocks <- arr
+          end;
+          match Array.unsafe_get cache.hot_blocks offset with
+          | Some b ->
+            cache.block_hits <- cache.block_hits + 1;
+            dispatch_block cache cpu aspace b fuel
+          | None -> (
+            match fuse_block cache frame offset rip with
+            | None -> slow_block_step cache cpu aspace fuel
             | Some b ->
-              cache.block_hits <- cache.block_hits + 1;
-              dispatch b remaining
-            | None -> (
-              match fuse_block cache frame offset rip with
-              | None -> slow_step remaining
-              | Some b ->
-                cache.block_fuses <- cache.block_fuses + 1;
-                cache.hot_blocks.(offset) <- Some b;
-                dispatch b remaining)
-          end
-    end
-  and dispatch b remaining =
-    let before = cpu.retired in
-    match exec_block cache cpu aspace b ~budget:remaining with
+              cache.block_fuses <- cache.block_fuses + 1;
+              cache.hot_blocks.(offset) <- Some b;
+              dispatch_block cache cpu aspace b fuel)
+        end
+  end
+
+and dispatch_block cache (cpu : Cpu.t) aspace b fuel =
+  let before = cpu.retired in
+  match exec_block cache cpu aspace b ~budget:fuel with
+  | Some e -> e
+  | None -> run_block cache cpu aspace ~fuel:(fuel - (cpu.retired - before))
+
+and slow_block_step cache cpu aspace fuel =
+  cache.slow_decodes <- cache.slow_decodes + 1;
+  match step_inner cpu aspace with
+  | None -> run_block cache cpu aspace ~fuel:(fuel - 1)
+  | Some e -> e
+
+let rec run_insn ?icache cpu aspace ~fuel =
+  if fuel <= 0 then Out_of_fuel
+  else
+    match step_inner ?icache cpu aspace with
+    | None -> run_insn ?icache cpu aspace ~fuel:(fuel - 1)
     | Some e -> e
-    | None -> loop (remaining - (cpu.retired - before))
-  and slow_step remaining =
-    cache.slow_decodes <- cache.slow_decodes + 1;
-    match step_inner cpu aspace with
-    | None -> loop (remaining - 1)
-    | Some e -> e
-  in
-  loop fuel
 
 let run ?icache cpu aspace ~fuel =
   match icache with
   | Some ({ dispatch = Block; _ } as cache) -> run_block cache cpu aspace ~fuel
-  | None | Some { dispatch = Insn; _ } ->
-    let rec loop remaining =
-      if remaining <= 0 then Out_of_fuel
-      else
-        match step_inner ?icache cpu aspace with
-        | None -> loop (remaining - 1)
-        | Some e -> e
-    in
-    loop fuel
+  | None | Some { dispatch = Insn; _ } -> run_insn ?icache cpu aspace ~fuel
 
 let pp_fault fmt = function
   | Page_fault { rip; addr; access } ->

@@ -333,6 +333,8 @@ let snapshot_parent_chain () =
   in
   let leaf = descend root 0 in
   check Alcotest.int "lineage length" 4 (List.length (Snapshot.lineage leaf));
+  check Alcotest.int "lineage length recorded at capture" 4
+    leaf.Snapshot.chain;
   check Alcotest.int "root is last"
     root.Snapshot.id
     (List.nth (Snapshot.lineage leaf) 3).Snapshot.id
@@ -715,13 +717,16 @@ let boot_store ?spill_threshold () =
   let h0 = Reclaim.add_root store root in
   (phys, m, store, ids, h0)
 
-(* Resume [parent] with [choice], run to the next publish, register it. *)
+(* Resume [parent] with [choice], run to the next publish, register it.
+   The capture threads lineage, as [Reclaim.add] requires. *)
 let extend store ids m parent ~choice =
-  Snapshot.restore m (Reclaim.get store parent);
+  let p = Reclaim.get store parent in
+  Snapshot.restore m p;
   Vcpu.Cpu.set m.Libos.cpu R.rax choice;
   ignore (run_to_guess m);
   let depth = Reclaim.depth store parent + 1 in
-  Reclaim.add store ~parent ~choice ~depth (Snapshot.capture ~ids ~depth m)
+  Reclaim.add store ~parent ~choice ~depth
+    (Snapshot.capture ~ids ~parent:p ~depth m)
 
 (* Bit-level identity of a snapshot: resume point plus every mapped page. *)
 let snap_image (s : Snapshot.t) =

@@ -938,6 +938,185 @@ let delta_bytes_accounting () =
   Phys.note_spill_bytes phys (-700);
   check Alcotest.int "spill back to zero" 0 (Phys.spill_bytes_held phys)
 
+(* {2 TLB coherence under the full frame lifecycle}
+
+   Two address spaces on one recycling, poisoning [Phys_mem] run a random
+   script of mappings, sharing, accesses and snapshot-lifecycle steps, and
+   [As.audit_tlb] must hold on both after every step: each cached
+   translation is the frame a fresh walk finds, never a freed one.  The
+   lifecycle steps keep their callers' contracts, checked here on the
+   frames themselves: a snapshot is released or adopted only when no other
+   restorable snapshot holds a frame of its delta, a release or a segment
+   discard is followed at once by a restore, and a discard needs the epoch
+   unchanged since its base was restored. *)
+type aop =
+  | A_map_zero of int * int (* space, vpn *)
+  | A_map_data of int * int
+  | A_map_shared of int * int
+  | A_unshare of int
+  | A_unmap of int * int
+  | A_read of int * int
+  | A_write of int * int * int (* space, vpn, byte *)
+  | A_snapshot of int
+  | A_restore of int * int (* space, pick *)
+  | A_restore_adopt of int * int
+  | A_discard of int * int (* space, pick of the follow-up restore *)
+  | A_release of int * int * int (* space, victim pick, restore pick *)
+
+let aop_gen =
+  QCheck2.Gen.(
+    let sp = int_range 0 1 in
+    (* vpns 0 and 256 share a TLB slot, as do 1 and 257 *)
+    let vp = oneofl [ 0; 1; 2; 3; 256; 257 ] in
+    let pick = small_nat in
+    frequency
+      [ 2, map2 (fun s v -> A_map_zero (s, v)) sp vp;
+        2, map2 (fun s v -> A_map_data (s, v)) sp vp;
+        1, map2 (fun s v -> A_map_shared (s, v)) sp vp;
+        1, map (fun v -> A_unshare v) vp;
+        1, map2 (fun s v -> A_unmap (s, v)) sp vp;
+        4, map2 (fun s v -> A_read (s, v)) sp vp;
+        4, map3 (fun s v b -> A_write (s, v, b)) sp vp (int_range 0 0x7f);
+        3, map (fun s -> A_snapshot s) sp;
+        3, map2 (fun s k -> A_restore (s, k)) sp pick;
+        2, map2 (fun s k -> A_restore_adopt (s, k)) sp pick;
+        2, map2 (fun s k -> A_discard (s, k)) sp pick;
+        2, map3 (fun s k j -> A_release (s, k, j)) sp pick pick ])
+
+type anode = {
+  a_snap : As.snapshot;
+  a_parent : anode option;
+  mutable a_released : bool;
+  mutable a_adopted : bool;
+}
+
+type aspace = {
+  a_as : As.t;
+  mutable a_nodes : anode list;
+  mutable a_base : anode option; (* what the current map derives from *)
+  mutable a_base_epoch : int;
+}
+
+let restorable n = not (n.a_released || n.a_adopted)
+
+(* The private frames [n] holds beyond its parent. *)
+let delta_frames phys n =
+  match n.a_parent with
+  | None -> []
+  | Some p ->
+    List.filter_map
+      (fun (_, _, now) ->
+        match (now : Phys.frame option) with
+        | Some f when f != Phys.zero_frame phys && f.owner >= 0 -> Some f
+        | Some _ | None -> None)
+      (Stdx.Ptmap.sym_diff ( == )
+         (As.snapshot_map_for_debug p.a_snap)
+         (As.snapshot_map_for_debug n.a_snap))
+
+(* No restorable snapshot other than [n] holds a frame of [n]'s delta. *)
+let delta_unshared phys sp n =
+  let frames = delta_frames phys n in
+  List.for_all
+    (fun m ->
+      m == n || (not (restorable m))
+      || not
+           (Stdx.Ptmap.exists
+              (fun _ g -> List.memq g frames)
+              (As.snapshot_map_for_debug m.a_snap)))
+    sp.a_nodes
+
+let nth_where pred l k =
+  match List.filter pred l with
+  | [] -> None
+  | c -> Some (List.nth c (k mod List.length c))
+
+let tlb_survives_lifecycle =
+  qtest ~count:300 "TLB stays coherent through the frame lifecycle"
+    (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 80) aop_gen)
+    (fun script ->
+      let phys = Phys.create ~poison:true () in
+      let spaces =
+        Array.init 2 (fun _ ->
+            { a_as = As.create phys; a_nodes = []; a_base = None;
+              a_base_epoch = -1 })
+      in
+      let restore sp n =
+        As.restore sp.a_as n.a_snap;
+        sp.a_base <- Some n;
+        sp.a_base_epoch <- As.epoch sp.a_as
+      in
+      let restore_pick sp k =
+        match nth_where restorable sp.a_nodes k with
+        | Some n -> restore sp n
+        | None -> ()
+      in
+      let guard f = try f () with As.Page_fault _ -> () in
+      List.iter
+        (fun op ->
+          (match op with
+          | A_map_zero (s, vpn) -> As.map_zero spaces.(s).a_as ~vpn
+          | A_map_data (s, vpn) ->
+            As.map_data spaces.(s).a_as ~vpn (String.make 3 'd')
+          | A_map_shared (s, vpn) -> As.map_shared spaces.(s).a_as ~vpn
+          | A_unshare vpn -> Phys.clear_shared_page phys ~vpn
+          | A_unmap (s, vpn) -> As.unmap spaces.(s).a_as ~vpn
+          | A_read (s, vpn) ->
+            guard (fun () -> ignore (As.read_u8 spaces.(s).a_as (vpn * 4096)))
+          | A_write (s, vpn, b) ->
+            guard (fun () -> As.write_u8 spaces.(s).a_as ((vpn * 4096) + 1) b)
+          | A_snapshot s ->
+            let sp = spaces.(s) in
+            let n =
+              { a_snap = As.snapshot sp.a_as; a_parent = sp.a_base;
+                a_released = false; a_adopted = false }
+            in
+            sp.a_nodes <- n :: sp.a_nodes;
+            sp.a_base <- Some n;
+            sp.a_base_epoch <- As.epoch sp.a_as
+          | A_restore (s, k) -> restore_pick spaces.(s) k
+          | A_restore_adopt (s, k) -> (
+            let sp = spaces.(s) in
+            let ok n =
+              restorable n && n.a_parent <> None && delta_unshared phys sp n
+            in
+            match nth_where ok sp.a_nodes k with
+            | None -> ()
+            | Some n ->
+              ignore
+                (As.restore_adopt sp.a_as
+                   ~parent:(Option.get n.a_parent).a_snap n.a_snap);
+              n.a_adopted <- true;
+              sp.a_base <- Some n;
+              sp.a_base_epoch <- As.epoch sp.a_as)
+          | A_discard (s, k) -> (
+            let sp = spaces.(s) in
+            match sp.a_base with
+            | Some b
+              when (not b.a_released)
+                   && As.epoch sp.a_as = sp.a_base_epoch
+                   && List.exists restorable sp.a_nodes ->
+              ignore (As.discard_segment sp.a_as ~base:b.a_snap);
+              restore_pick sp k
+            | Some _ | None -> ())
+          | A_release (s, k, j) -> (
+            let sp = spaces.(s) in
+            let ok n =
+              (not n.a_released) && n.a_parent <> None
+              && delta_unshared phys sp n
+              && List.exists (fun m -> m != n && restorable m) sp.a_nodes
+            in
+            match nth_where ok sp.a_nodes k with
+            | None -> ()
+            | Some n ->
+              ignore
+                (As.release_snapshot ~phys
+                   ~parent:(Option.get n.a_parent).a_snap n.a_snap);
+              n.a_released <- true;
+              restore_pick sp j));
+          Array.iter (fun sp -> As.audit_tlb sp.a_as) spaces)
+        script;
+      true)
+
 let untracked_by_default () =
   let phys = Phys.create () in
   let _f = Phys.alloc phys ~owner:1 in
@@ -997,6 +1176,7 @@ let tests =
     Alcotest.test_case "restore_adopt writes in place" `Quick
       restore_adopt_writes_in_place;
     released_frames_never_alias_live_state;
+    tlb_survives_lifecycle;
     Alcotest.test_case "delta restore keeps zero sharing" `Quick
       delta_restore_keeps_zero_sharing;
     Alcotest.test_case "delta/spill byte accounting" `Quick

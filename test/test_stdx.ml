@@ -98,6 +98,87 @@ let ptmap_union_model =
           Ptmap.find_opt k u = expect)
         (List.init 64 Fun.id))
 
+(* [Ptmap.diff_iter] and [Ptmap.sym_diff] against a naive reference built
+   from [bindings]: every key bound on either side, reported once, unless
+   both sides bind it to [eq]-equal values.  Values are small non-negative
+   ints, [eq] identifies them mod 3 (so the walk must consult it, not
+   structural equality) and -1 is the [~absent] sentinel. *)
+let diff_eq x y = x mod 3 = y mod 3
+
+let diff_reference a b =
+  let ba = Ptmap.bindings a and bb = Ptmap.bindings b in
+  let keys = List.sort_uniq compare (List.map fst ba @ List.map fst bb) in
+  List.filter_map
+    (fun k ->
+      match List.assoc_opt k ba, List.assoc_opt k bb with
+      | Some x, Some y when diff_eq x y -> None
+      | x, y -> Some (k, x, y))
+    keys
+
+let diff_agrees (a, b) =
+  let expect = diff_reference a b in
+  let seen = ref [] in
+  Ptmap.diff_iter diff_eq ~absent:(-1)
+    (fun k x y ->
+      let side v = if v = -1 then None else Some v in
+      seen := (k, side x, side y) :: !seen)
+    a b;
+  List.sort compare !seen = expect
+  && List.sort compare (Ptmap.sym_diff diff_eq a b) = expect
+
+(* keys mixing dense small values, scattered large ones and the sign bit,
+   so branching masks of every height (including [min_int]) occur *)
+let diff_key =
+  QCheck2.Gen.(
+    frequency
+      [ 6, int_range (-40) 40;
+        2, map (fun x -> x * 1_000_003) small_signed_int;
+        1, oneofl [ min_int; max_int; 0; -1 ] ])
+
+let diff_bindings = QCheck2.Gen.(list (pair diff_key (int_range 0 20)))
+
+let diff_derive base script =
+  List.fold_left
+    (fun m (k, op) ->
+      match op with Some v -> Ptmap.add k v m | None -> Ptmap.remove k m)
+    base script
+
+let ptmap_diff_shared =
+  let script = QCheck2.Gen.(small_list (pair diff_key (option (int_range 0 20)))) in
+  qtest ~count:1000 "diff_iter on tries derived from a common base"
+    QCheck2.Gen.(triple diff_bindings script script)
+    (fun (base, sa, sb) ->
+      let base = Ptmap.of_list base in
+      diff_agrees (diff_derive base sa, diff_derive base sb)
+      && diff_agrees (base, diff_derive base sb))
+
+let ptmap_diff_unrelated =
+  (* independent tries: mismatched shapes, often [Empty] or a single
+     [Leaf] on one side *)
+  let side =
+    QCheck2.Gen.(
+      frequency
+        [ 1, return [];
+          2, map (fun b -> [ b ]) (pair diff_key (int_range 0 20));
+          4, diff_bindings ])
+  in
+  qtest ~count:1000 "diff_iter on unrelated tries" QCheck2.Gen.(pair side side)
+    (fun (la, lb) -> diff_agrees (Ptmap.of_list la, Ptmap.of_list lb))
+
+let ptmap_diff_absent () =
+  (* the sentinel stands in for the missing side, in both directions *)
+  let a = Ptmap.of_list [ 1, 10; 2, 20 ] and b = Ptmap.of_list [ 2, 21; 3, 30 ] in
+  let seen = ref [] in
+  Ptmap.diff_iter ( = ) ~absent:0 (fun k x y -> seen := (k, x, y) :: !seen) a b;
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+    "left-only, changed, right-only"
+    [ 1, 10, 0; 2, 20, 21; 3, 0, 30 ]
+    (List.sort compare !seen);
+  let calls = ref 0 in
+  Ptmap.diff_iter ( = ) ~absent:0 (fun _ _ _ -> incr calls) a a;
+  check Alcotest.int "physically equal tries: no calls" 0 !calls
+
 (* {1 Pheap} *)
 
 let pheap_order () =
@@ -262,6 +343,9 @@ let tests =
     Alcotest.test_case "ptmap update" `Quick ptmap_update;
     Alcotest.test_case "ptmap union" `Quick ptmap_union;
     Alcotest.test_case "ptmap sym_diff" `Quick ptmap_sym_diff;
+    Alcotest.test_case "ptmap diff_iter absent" `Quick ptmap_diff_absent;
+    ptmap_diff_shared;
+    ptmap_diff_unrelated;
     ptmap_model;
     ptmap_union_model;
     Alcotest.test_case "pheap order" `Quick pheap_order;
