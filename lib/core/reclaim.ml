@@ -35,9 +35,16 @@ type payload =
   | Live of Snapshot.t
   | Demoted of delta
 
-(* The skeleton is permanent and tiny (a few ints per entry); only the
-   payload is reclaimable, and it degrades through the tiers above before
-   the store ever falls back to re-execution.
+(* The skeleton is tiny (a few ints per entry) and lives exactly as long
+   as something can still need it: the entry itself until the client
+   releases it, and afterwards only while child entries remain — their
+   replays and promotions may pass through it.  A released entry with no
+   children is forgotten, and its parent is re-checked the same way, so
+   the table stays bounded by the live paths however long a client keeps
+   walking and releasing.  Handles are dense ([h < next]), which is how a
+   forgotten handle is still told apart from one never issued.  The
+   payload is reclaimable earlier, and degrades through the tiers above
+   before the store ever falls back to re-execution.
 
    Frame lifetime rides on the {!Snapshot} extension-refcount discipline
    rather than on the GC: the store holds one extension ref per Live
@@ -63,6 +70,7 @@ type entry = {
   mutable e_last_used : int;
   mutable e_released : bool;   (* dropped by the client; skeleton kept for
                                   descendants' replays *)
+  mutable e_children : int;    (* child entries still in the table *)
 }
 
 type t = {
@@ -131,10 +139,19 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* A handle below [next] that is no longer in the table was released and
+   then forgotten. *)
+let forgotten t h = h >= 0 && h < t.next
+
+let unknown h = invalid_arg (Printf.sprintf "Reclaim: unknown reference %d" h)
+
 let entry t h =
-  match Hashtbl.find_opt t.entries h with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Reclaim: unknown reference %d" h)
+  match Hashtbl.find t.entries h with
+  | e -> e
+  | exception Not_found ->
+    if forgotten t h then
+      invalid_arg (Printf.sprintf "Reclaim: reference %d was released" h)
+    else unknown h
 
 let fresh t e =
   let h = t.next in
@@ -158,16 +175,17 @@ let add_root t snap =
   fresh t
     { e_parent = None; e_choice = 0; e_stdin = None; e_depth = 0;
       e_pinned = true; e_payload = Some (Live snap); e_last_used = tick t;
-      e_released = false }
+      e_released = false; e_children = 0 }
 
 let add t ~parent ~choice ?stdin ~depth snap =
-  ignore (entry t parent);
+  let pe = entry t parent in
+  pe.e_children <- pe.e_children + 1;
   Snapshot.retain snap;
   set_anchor t snap;
   fresh t
     { e_parent = Some parent; e_choice = choice; e_stdin = stdin;
       e_depth = depth; e_pinned = false; e_payload = Some (Live snap);
-      e_last_used = tick t; e_released = false }
+      e_last_used = tick t; e_released = false; e_children = 0 }
 
 let depth t h = (entry t h).e_depth
 
@@ -179,7 +197,10 @@ let tier t h =
   | None -> 3
 
 let is_materialised t h = tier t h = 0
-let is_released t h = (entry t h).e_released
+let is_released t h =
+  match Hashtbl.find t.entries h with
+  | e -> e.e_released
+  | exception Not_found -> forgotten t h || unknown h
 
 (* {1 Delta packing}
 
@@ -515,20 +536,40 @@ let get t h =
 
 (* {1 Lifecycle} *)
 
+(* Give back what the payload holds: the store's ref on a live record
+   ([try_free] feeds its branch-private frames to the allocator's free
+   list right now unless a child record or the machine still shares
+   them), or a delta's bytes. *)
+let drop_payload t e =
+  (match e.e_payload with
+  | Some (Live snap) -> Snapshot.release_ext ~phys:(phys_of t) snap
+  | Some (Demoted d) -> drop_delta t d
+  | None -> ());
+  e.e_payload <- None
+
+(* Forget released, childless entries, walking up while each removal
+   leaves the parent released and childless too.  Pinned roots stay.  A
+   released entry can hold a payload again when a descendant's replay
+   rebuilt it as a base; that payload goes too. *)
+let rec forget t h e =
+  if e.e_released && e.e_children = 0 && not e.e_pinned then begin
+    drop_payload t e;
+    Hashtbl.remove t.entries h;
+    match e.e_parent with
+    | Some ph ->
+      let pe = entry t ph in
+      pe.e_children <- pe.e_children - 1;
+      forget t ph pe
+    | None -> ()
+  end
+
 let release t h =
-  let e = entry t h in
-  if not e.e_released then begin
+  if not (is_released t h) then begin
+    let e = entry t h in
     e.e_released <- true;
     if not e.e_pinned then begin
-      (match e.e_payload with
-      | Some (Live snap) ->
-        (* The store's ref drains; [try_free] feeds the record's
-           branch-private frames to the allocator's free list right now
-           unless a child record or the machine still shares them. *)
-        Snapshot.release_ext ~phys:(phys_of t) snap
-      | Some (Demoted d) -> drop_delta t d
-      | None -> ());
-      e.e_payload <- None
+      drop_payload t e;
+      forget t h e
     end
   end
 
@@ -537,11 +578,8 @@ let evict t h =
   match e.e_payload with
   | None -> false
   | Some _ when e.e_pinned -> false
-  | Some payload ->
-    (match payload with
-    | Live snap -> Snapshot.release_ext ~phys:(phys_of t) snap
-    | Demoted d -> drop_delta t d);
-    e.e_payload <- None;
+  | Some _ ->
+    drop_payload t e;
     t.evictions <- t.evictions + 1;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_evict;
@@ -606,6 +644,8 @@ let materialised t =
     (fun _ e acc ->
       match e.e_payload with Some (Live s) -> s :: acc | _ -> acc)
     t.entries []
+
+let entries t = Hashtbl.length t.entries
 
 let live_entries t =
   Hashtbl.fold

@@ -36,7 +36,10 @@
     Roots are pinned: they may demote to a tier-1 full image but never
     spill and never truncate, so reconstruction always bottoms out.
     Released entries drop their payload and refuse {!get}, but keep their
-    skeleton — a descendant's replay may pass through them. *)
+    skeleton while they have child entries — a descendant's replay may
+    pass through them.  A released entry with no children is forgotten,
+    and the check cascades to its parent, so the store stays bounded by
+    the live paths. *)
 
 type handle = int
 
@@ -87,10 +90,16 @@ val is_materialised : t -> handle -> bool
 (** [tier t h = 0]. *)
 
 val is_released : t -> handle -> bool
+(** [true] for a released handle, including one already forgotten. *)
 
 val release : t -> handle -> unit
-(** Drop the payload and refuse future {!get}s; the skeleton stays so
-    descendants can still replay through this entry. *)
+(** Drop the payload and refuse future {!get}s; idempotent.  The skeleton
+    stays while child entries exist, so descendants can still replay
+    through this entry; once none does, the entry is forgotten. *)
+
+val entries : t -> int
+(** Entries in the table: live ones plus the released skeletons still
+    needed by a descendant. *)
 
 (** {1 Tier transitions} *)
 

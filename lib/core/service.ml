@@ -15,6 +15,10 @@ type t = {
      the parent of the next publish's capture so the store's explicit
      frame-free discipline sees the lineage *)
   mutable base_snap : Snapshot.t option;
+  mutable segment_epoch : int;
+      (* the address-space epoch right after [resume] restored [base_snap];
+         while the epoch still equals it, no capture has frozen what the
+         guest wrote since, so those frames are the segment's alone *)
   mutable depth_next : int;
   fuel_per_step : int;
   mutable marker : string list;
@@ -106,6 +110,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
       store;
       pending = None;
       base_snap = None;
+      segment_epoch = -1;
       depth_next = 0;
       fuel_per_step;
       marker = Libos.stdout_chunks machine;
@@ -114,10 +119,26 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
   in
   t, advance t
 
+(* Return the frames the last segment wrote to the allocator, unless a
+   capture froze them (a publish, or a reconstruction inside [Reclaim.get],
+   moved the epoch).  The map then dangles: the caller restores before any
+   further guest access. *)
+let discard_segment t =
+  let aspace = t.machine.Libos.aspace in
+  match t.base_snap with
+  | Some base
+    when Mem.Addr_space.epoch aspace = t.segment_epoch
+         && Mem.Phys_mem.recycling (Mem.Addr_space.phys aspace) ->
+    ignore (Mem.Addr_space.discard_segment aspace ~base:base.Snapshot.mem);
+    t.segment_epoch <- -1
+  | _ -> ()
+
 let resume t r ~choice ?stdin () =
   try
     let snap = Reclaim.get t.store r in
+    discard_segment t;
     Snapshot.restore t.machine snap;
+    t.segment_epoch <- Mem.Addr_space.epoch t.machine.Libos.aspace;
     t.base_snap <- Some snap;
     t.pending <- Some (r, choice, stdin);
     t.depth_next <- Reclaim.depth t.store r + 1;
@@ -167,4 +188,5 @@ let shed t = Reclaim.demote_under_pressure t.store
 let teardown t =
   if t.manages_pressure && Mem.Phys_mem.capacity (phys t) > 0 then
     Mem.Phys_mem.set_pressure_handler (phys t) None;
+  discard_segment t;
   Mem.Addr_space.drop_dedup_refs t.machine.Libos.aspace

@@ -66,12 +66,18 @@ val resume : t -> ref_ -> choice:int -> ?stdin:string -> unit -> outcome
     payload was evicted), deliver [choice] as the guess result (and replace
     the guest's stdin if given), and run to the next event.  A reference
     stays valid until released and can be resumed any number of times —
-    that is the immutability guarantee. *)
+    that is the immutability guarantee.
+
+    The previous step's uncaptured tail — the frames it wrote after its
+    restore when it ended [Failed], [Finished] or [Crashed] — goes back to
+    the allocator's free list before the restore (the paper's
+    [sys_guess_fail] discarding the current extension), unless
+    reconstructing the target moved the machine away from it first. *)
 
 val release : t -> ref_ -> unit
 (** Drop a published candidate: its snapshot payload is discarded (frames
     are reclaimed once no other candidate shares them), though a skeleton
-    remains so descendants can still replay through it.  Resuming a
+    remains while descendants can still replay through it.  Resuming a
     released reference raises [Invalid_argument]. *)
 
 val depth : t -> ref_ -> int
@@ -128,6 +134,8 @@ val flush_spills : t -> unit
 
 val teardown : t -> int
 (** Retire the session: uninstall the pressure handler this session
-    installed (if it manages one) and return its dedup-table references
-    (see {!Mem.Addr_space.drop_dedup_refs}); reports how many were
-    dropped.  Candidates become garbage once the caller drops [t]. *)
+    installed (if it manages one), free the frames the last uncaptured
+    step wrote (as {!resume} would), and return its dedup-table
+    references (see {!Mem.Addr_space.drop_dedup_refs}); reports how many
+    were dropped.  The machine's memory must not be read afterwards.
+    Candidates become garbage once the caller drops [t]. *)

@@ -130,8 +130,8 @@ let pressure t () =
 
 let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
     ?(frame_budget = 0) ?(fuel_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
-    ?(queue_limit = 64) ?(dedup = true) () =
-  let phys = Phys.create ~capacity ~track_live:true () in
+    ?(queue_limit = 64) ?(dedup = true) ?poison () =
+  let phys = Phys.create ~capacity ~track_live:true ?poison () in
   let t =
     { phys;
       fuel_per_step;
@@ -163,9 +163,12 @@ let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
 (* {1 Teardown} *)
 
 (* Retire a tenant's footprint: compress its candidate payloads out of the
-   frame pool and return its dedup-table references.  The service record
-   stays (clients may still query state and counters); its remaining
-   frames become unreachable and drain back through the GC finalisers. *)
+   frame pool (their branch-private frames go straight back to the free
+   list), discard the frames its last uncaptured segment wrote, and return
+   its dedup-table references.  The service record stays (clients may
+   still query state and counters); what is left — the root's image and
+   whatever a capture froze — falls back to the per-buffer GC finalisers
+   once the record is dropped. *)
 let teardown_tenant tn st =
   if tn.st = Running then begin
     tn.st <- st;

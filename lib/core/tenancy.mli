@@ -46,6 +46,7 @@ val create :
   ?max_tenants:int ->
   ?queue_limit:int ->
   ?dedup:bool ->
+  ?poison:bool ->
   unit -> t
 (** [capacity] bounds the shared frame pool (0 = unbounded; live tracking
     is enabled regardless so per-tenant accounting works).  [frame_budget]
@@ -57,7 +58,10 @@ val create :
     deadline kill.  [max_tenants] caps concurrent running sessions
     (0 = none).  [queue_limit] bounds the admission queue (beyond it boots
     are rejected outright).  [dedup] (default true) routes image pages
-    through the content-addressed table. *)
+    through the content-addressed table.  [poison] (debug, default false)
+    fills every released frame buffer at once, as
+    {!Mem.Phys_mem.create}'s switch does, so a frame freed while still
+    reachable diverges loudly. *)
 
 val boot :
   ?files:(string * string) list -> ?stdin:string -> t -> Isa.Asm.image ->
@@ -89,7 +93,8 @@ val next_tenant : t -> id option
 
 val kill : t -> id -> unit
 (** Explicitly retire a tenant: clear its queued requests, demote its
-    candidate payloads out of the frame pool, and return its dedup-table
+    candidate payloads out of the frame pool, free its last uncaptured
+    segment (see {!Service.teardown}), and return its dedup-table
     references.  Idempotent on non-running tenants. *)
 
 (** {1 Introspection} *)

@@ -379,8 +379,10 @@ let check_prog ?ckpt_every prog =
    pool's dedup accounting must obey its invariants: boot references
    scale linearly with the tenant count, distinct hash-consed frames
    match the single-tenant table, every live frame is attributed (charged
-   to some tenant's account or shared in the dedup table), and all
-   references drain to zero at teardown. *)
+   to some tenant's account or shared in the dedup table), all references
+   drain to zero at teardown, and so do the pool's live frames once it is
+   dropped.  The pool runs poisoned, so a frame its service discards while
+   still reachable diverges loudly. *)
 
 (* One tenant's DFS state: a stack of (candidate, choice, depth, output
    prefix) edges still to resume, and the terminals found so far. *)
@@ -450,16 +452,19 @@ let run_walks pool walks =
       walks
   done
 
-let check_image_tenants ?(tenants = 4) image =
-  let fail fmt =
-    Printf.ksprintf (fun detail -> Some { pipeline = "tenancy"; detail }) fmt
-  in
+let fail_tenancy fmt =
+  Printf.ksprintf (fun detail -> Some { pipeline = "tenancy"; detail }) fmt
+
+(* Everything up to teardown; returns the pool's physical memory, so the
+   pool itself is garbage once this returns. *)
+let run_tenants ~tenants image =
+  let fail = fail_tenancy in
   let base_pool = Tenancy.create () in
   let base = walk_of_admission (Tenancy.boot base_pool image) in
   let refs1 = Mem.Phys_mem.dedup_refs (Tenancy.phys base_pool) in
   let entries1 = Mem.Phys_mem.dedup_entries (Tenancy.phys base_pool) in
   run_walks base_pool [ base ];
-  let pool = Tenancy.create () in
+  let pool = Tenancy.create ~poison:true () in
   let walks =
     List.init tenants (fun _ -> walk_of_admission (Tenancy.boot pool image))
   in
@@ -469,6 +474,7 @@ let check_image_tenants ?(tenants = 4) image =
   (* crash-at-boot teardown already returned that tenant's references, so
      scale by the sessions that actually survived admission *)
   let expected_refs = Tenancy.live_tenants pool * refs1 in
+  phys,
   if refs_boot <> expected_refs then
     fail "dedup refs after %d boots: %d, expected %d (baseline %d per tenant)"
       tenants refs_boot expected_refs refs1
@@ -502,9 +508,6 @@ let check_image_tenants ?(tenants = 4) image =
           charged entries
       else begin
         List.iter (fun w -> Tenancy.kill pool w.w_id) walks;
-        (* finalisers registered during one major cycle run in the next *)
-        Gc.full_major ();
-        Gc.full_major ();
         let refs = Mem.Phys_mem.dedup_refs phys in
         let entries = Mem.Phys_mem.dedup_entries phys in
         if refs <> 0 then
@@ -514,6 +517,18 @@ let check_image_tenants ?(tenants = 4) image =
         else None
       end
   end
+
+let check_image_tenants ?(tenants = 4) image =
+  match run_tenants ~tenants image with
+  | _, (Some _ as divergence) -> divergence
+  | phys, None ->
+    (* finalisers registered during one major cycle run in the next *)
+    Gc.full_major ();
+    Gc.full_major ();
+    let live = Mem.Phys_mem.frames_live phys in
+    if live <> 0 then
+      fail_tenancy "%d frames still live after teardown" live
+    else None
 
 let check_prog_tenants ?tenants prog =
   check_image_tenants ?tenants

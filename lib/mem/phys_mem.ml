@@ -1,9 +1,20 @@
+(* A page buffer and its live-frame accounting.  Buffers outlive the
+   frames minted over them (the free list hands a slot to the next frame),
+   so the GC finaliser that backs up explicit frees is registered once per
+   buffer, not once per frame: it credits the live count only while
+   [held] says a not-yet-freed frame still owns the buffer. *)
+type slot = {
+  buf : Bytes.t;
+  mutable held : bool;   (* a minted, unfreed frame owns the buffer *)
+  mutable acct : int;    (* account that frame is charged to *)
+}
+
 type frame = {
   mutable id : int;
   bytes : Bytes.t;
+  slot : slot;
   mutable owner : int;
   mutable freed : bool;
-  mutable account : int;
 }
 
 exception Out_of_frames of { capacity : int; live : int }
@@ -25,6 +36,21 @@ let share_log_size = 64
    spaces currently holding a boot-time reference to it. *)
 type dedup_entry = { d_frame : frame; mutable d_refs : int }
 
+(* The counters a slot's finaliser updates.  Kept apart from [t] so the
+   finaliser closure can capture them without reaching [t]: through [t]
+   it would reach the free list, every pooled slot would stay reachable
+   from its own finaliser, and none would ever be finalised. *)
+type counters = {
+  live : int Atomic.t;
+      (* frames minted and neither freed nor proven unreachable by the
+         GC *)
+  mutable acct_live : int array;
+      (* live frames charged to each non-zero account, indexed by account
+         id — the per-tenant frame accounting the tenancy layer's budgets
+         read.  Account 0 is the shared/unattributed pool and is never
+         tracked. *)
+}
+
 type t = {
   mutable next_frame : int;
   mutable next_gen : int;
@@ -45,9 +71,11 @@ type t = {
          just the affected entries instead of wiping its whole TLB *)
   capacity : int;  (* 0 = unbounded *)
   track_live : bool;
-  live : int Atomic.t;
-      (* frames allocated minus frames the GC has proven unreachable; the
-         finaliser on each frame is the simulation's refcounted free list *)
+  counters : counters;
+  finalise : slot -> unit;
+      (* registered on every buffer when [track_live]: the GC fallback for
+         frames dropped without an explicit free.  Built once per [t] and
+         closed over [counters] only *)
   mutable peak_live : int;
   mutable on_pressure : (unit -> unit) option;
   mutable pressure_events : int;
@@ -61,7 +89,9 @@ type t = {
   mutable poison : bool;
       (* debug: fill released buffers with [poison_byte] immediately, so a
          frame freed while still reachable diverges loudly *)
-  mutable free_bufs : Bytes.t list;
+  mutable free_slots : slot array;
+      (* stack of released buffers, [free_len] deep; cells above it hold
+         [no_slot] so a popped slot is not pinned by the pool *)
   mutable free_len : int;
   mutable total_allocs : int;
       (* frames ever allocated; [next_frame] cannot serve because adoption
@@ -76,10 +106,6 @@ type t = {
   mutable spill_bytes : int;
       (* bytes of deltas currently spilled to host disk (tier 2) *)
   mutable next_account : int;
-  account_live_tbl : (int, int ref) Hashtbl.t;
-      (* live frames charged to each non-zero account — the per-tenant
-         frame accounting the tenancy layer's budgets read.  Account 0 is
-         the shared/unattributed pool and is never tracked. *)
   dedup : (string, dedup_entry) Hashtbl.t;
       (* content digest -> hash-consed read-only frame.  Entries are owned
          by [dedup_owner], a reserved pseudo-generation that never matches
@@ -102,28 +128,42 @@ let zero_generation = 0
    never written in place: a store through them always COWs. *)
 let dedup_owner = -2
 
+let no_slot = { buf = Bytes.empty; held = false; acct = 0 }
+
 (* Freed from birth and owned by no real generation, so the lifecycle
    guards ([owner >= 0], [not freed]) skip it wherever it travels. *)
 let no_frame =
-  { id = -1; bytes = Bytes.empty; owner = -3; freed = true; account = 0 }
+  { id = -1; bytes = Bytes.empty; slot = no_slot; owner = -3; freed = true }
+
+(* Give a held slot's frame back to the live counts. *)
+let uncount (c : counters) (s : slot) =
+  Atomic.decr c.live;
+  if s.acct <> 0 then c.acct_live.(s.acct) <- c.acct_live.(s.acct) - 1
+
+(* The GC fallback for a buffer whose last frame was dropped without
+   {!free_frame}.  An explicit free already cleared [held] and returned
+   the live slot; the finaliser must not return it twice. *)
+let finaliser c s = if s.held then uncount c s
 
 let create ?(capacity = 0) ?(track_live = false) ?(recycle = true)
     ?(poison = false) () =
   if capacity < 0 then invalid_arg "Phys_mem.create: negative capacity";
+  let zero_buf = Bytes.make Page.size '\000' in
   let zero =
-    { id = 0; bytes = Bytes.make Page.size '\000'; owner = zero_generation;
-      freed = false; account = 0 }
+    { id = 0; bytes = zero_buf; slot = { buf = zero_buf; held = false; acct = 0 };
+      owner = zero_generation; freed = false }
   in
+  let counters = { live = Atomic.make 0; acct_live = [||] } in
   { next_frame = 1; next_gen = 1; zero; metrics = Mem_metrics.create ();
     shared_pages = Hashtbl.create 8; share_epoch = 0;
     share_log = Array.make share_log_size (-1);
     capacity; track_live = track_live || capacity > 0;
-    live = Atomic.make 0; peak_live = 0;
+    counters; finalise = finaliser counters; peak_live = 0;
     on_pressure = None; pressure_events = 0; watermark_armed = true;
     alloc_fault = None;
-    recycle; poison; free_bufs = []; free_len = 0; total_allocs = 0;
+    recycle; poison; free_slots = [||]; free_len = 0; total_allocs = 0;
     delta_bytes = 0; peak_delta_bytes = 0; spill_bytes = 0;
-    next_account = 1; account_live_tbl = Hashtbl.create 8;
+    next_account = 1;
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
     dedup_refs = 0; dedup_hits = 0 }
 
@@ -134,7 +174,7 @@ let zero_frame t = t.zero
 let capacity t = t.capacity
 let recycling t = t.recycle
 let free_buffers t = t.free_len
-let frames_live t = Atomic.get t.live
+let frames_live t = Atomic.get t.counters.live
 let peak_frames_live t = t.peak_live
 let pressure_events t = t.pressure_events
 let set_pressure_handler t f = t.on_pressure <- f
@@ -150,7 +190,7 @@ let note_spill_bytes t n = t.spill_bytes <- t.spill_bytes + n
 let spill_bytes_held t = t.spill_bytes
 
 (* Finalisers registered during one major cycle run as part of the next, so
-   a single [full_major] can leave just-dropped frames still counted; the
+   a single [full_major] can leave just-dropped buffers still counted; the
    second pass makes "unreachable now" observable in [live]. *)
 let collect t =
   Gc.full_major ();
@@ -159,7 +199,7 @@ let collect t =
 
 let high_watermark t = t.capacity - (t.capacity / 8)
 
-let below_watermark t = t.capacity > 0 && Atomic.get t.live < high_watermark t
+let below_watermark t = t.capacity > 0 && Atomic.get t.counters.live < high_watermark t
 
 (* Fire the pressure protocol: let the registered reclaimer shed payload
    references, then collect so the freed frames actually leave [live].
@@ -170,9 +210,9 @@ let below_watermark t = t.capacity > 0 && Atomic.get t.live < high_watermark t
 let pressure t =
   t.pressure_events <- t.pressure_events + 1;
   if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:(Atomic.get t.live) ~b:t.capacity Obs.Names.pressure;
+    Obs.Trace.instant ~a:(Atomic.get t.counters.live) ~b:t.capacity Obs.Names.pressure;
   (match t.on_pressure with Some f -> f () | None -> ());
-  if Atomic.get t.live >= high_watermark t then collect t
+  if Atomic.get t.counters.live >= high_watermark t then collect t
 
 let ensure_frame_available t =
   (match t.alloc_fault with
@@ -180,13 +220,13 @@ let ensure_frame_available t =
     (* Injected transient allocation failure: indistinguishable from a
        momentarily exhausted free list, so callers exercise the same
        recovery path a real out-of-frames condition takes. *)
-    raise (Out_of_frames { capacity = t.capacity; live = Atomic.get t.live })
+    raise (Out_of_frames { capacity = t.capacity; live = Atomic.get t.counters.live })
   | _ -> ());
   if t.capacity > 0 then begin
-    let live = Atomic.get t.live in
+    let live = Atomic.get t.counters.live in
     if live >= t.capacity then begin
       pressure t;
-      let live = Atomic.get t.live in
+      let live = Atomic.get t.counters.live in
       if live >= t.capacity then begin
         if Obs.Trace.enabled () then
           Obs.Trace.instant ~a:live ~b:t.capacity Obs.Names.out_of_frames;
@@ -209,80 +249,88 @@ let ensure_frame_available t =
 
    Accounts attribute live frames to the session (tenant) whose address
    space allocated them, independently of generation ownership.  Account 0
-   is the shared/unattributed pool and is never tracked, so the tables stay
-   empty (and the per-allocation cost stays one integer compare) for every
-   user that never calls {!fresh_account}. *)
+   is the shared/unattributed pool and is never tracked, so the count array
+   stays empty (and the per-allocation cost stays one integer compare) for
+   every user that never calls {!fresh_account}. *)
 
 let fresh_account t =
   let a = t.next_account in
   t.next_account <- a + 1;
+  let c = t.counters in
+  let n = Array.length c.acct_live in
+  if a >= n then begin
+    let grown = Array.make (max 8 (2 * a)) 0 in
+    Array.blit c.acct_live 0 grown 0 n;
+    c.acct_live <- grown
+  end;
   a
 
-let account_cell t account =
-  match Hashtbl.find_opt t.account_live_tbl account with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace t.account_live_tbl account r;
-    r
-
-let charge_account t account =
-  if account <> 0 then incr (account_cell t account)
-
-let credit_account t account =
-  if account <> 0 then decr (account_cell t account)
-
 let account_frames_live t account =
-  if account = 0 then 0
-  else match Hashtbl.find_opt t.account_live_tbl account with
-    | Some r -> !r
-    | None -> 0
+  let c = t.counters in
+  if account <= 0 || account >= Array.length c.acct_live then 0
+  else c.acct_live.(account)
 
-let account_live t f =
-  if t.track_live then begin
-    let live = 1 + Atomic.fetch_and_add t.live 1 in
-    if live > t.peak_live then t.peak_live <- live;
-    charge_account t f.account;
-    (* An explicitly-freed frame already gave its live slot back; the
-       finaliser must not return it twice. *)
-    Gc.finalise
-      (fun (f : frame) ->
-        if not f.freed then begin
-          Atomic.decr t.live;
-          credit_account t f.account
-        end)
-      f
-  end
+(* {1 Buffers and the free list} *)
 
-(* Pop a released page buffer, if the pool has one.  The buffer comes back
-   with arbitrary contents (possibly poisoned): callers overwrite it. *)
-let take_buf t =
-  match t.free_bufs with
-  | [] -> None
-  | b :: rest ->
-    t.free_bufs <- rest;
-    t.free_len <- t.free_len - 1;
+(* Every page buffer gets its slot, and its finaliser, exactly once: here. *)
+let new_slot t buf =
+  let s = { buf; held = false; acct = 0 } in
+  if t.track_live then Gc.finalise t.finalise s;
+  s
+
+(* Pop a released buffer's slot, or [no_slot] when the pool is empty.  The
+   buffer comes back with arbitrary contents (possibly poisoned): callers
+   overwrite it. *)
+let take_slot t =
+  let n = t.free_len in
+  if n = 0 then no_slot
+  else begin
+    let n = n - 1 in
+    let s = t.free_slots.(n) in
+    t.free_slots.(n) <- no_slot;
+    t.free_len <- n;
     t.metrics.frames_recycled <- t.metrics.frames_recycled + 1;
     if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:t.free_len Obs.Names.frame_recycle;
-    Some b
+      Obs.Trace.instant ~a:n Obs.Names.frame_recycle;
+    s
+  end
 
-let mint t ~owner ~account bytes =
-  let f = { id = t.next_frame; bytes; owner; freed = false; account } in
+let push_slot t s =
+  let n = t.free_len in
+  if n = Array.length t.free_slots then begin
+    let grown = Array.make (min max_free_bufs (max 16 (2 * n))) no_slot in
+    Array.blit t.free_slots 0 grown 0 n;
+    t.free_slots <- grown
+  end;
+  t.free_slots.(n) <- s;
+  t.free_len <- n + 1
+
+let mint t ~owner ~account s =
+  let f = { id = t.next_frame; bytes = s.buf; slot = s; owner; freed = false } in
   t.next_frame <- t.next_frame + 1;
   t.total_allocs <- t.total_allocs + 1;
   t.metrics.frames_allocated <- t.metrics.frames_allocated + 1;
-  account_live t f;
+  if t.track_live then begin
+    let c = t.counters in
+    let live = 1 + Atomic.fetch_and_add c.live 1 in
+    if live > t.peak_live then t.peak_live <- live;
+    if account <> 0 then c.acct_live.(account) <- c.acct_live.(account) + 1;
+    s.acct <- account;
+    s.held <- true
+  end;
   f
 
 let alloc ?(account = 0) t ~owner =
   ensure_frame_available t;
-  let bytes =
-    match take_buf t with
-    | Some b -> Bytes.fill b 0 Page.size '\000'; b
-    | None -> Bytes.make Page.size '\000'
+  let s = take_slot t in
+  let s =
+    if s == no_slot then new_slot t (Bytes.make Page.size '\000')
+    else begin
+      Bytes.fill s.buf 0 Page.size '\000';
+      s
+    end
   in
-  mint t ~owner ~account bytes
+  mint t ~owner ~account s
 
 (* A frame whose every byte is about to be overwritten: recycle a buffer or
    take uninitialised memory, either way skipping the zero fill that
@@ -290,13 +338,13 @@ let alloc ?(account = 0) t ~owner =
    baseline keeps the seed's exact cost model. *)
 let alloc_overwritten t ~owner ~account =
   ensure_frame_available t;
-  if not t.recycle then mint t ~owner ~account (Bytes.make Page.size '\000')
+  if not t.recycle then
+    mint t ~owner ~account (new_slot t (Bytes.make Page.size '\000'))
   else begin
     t.metrics.zero_fills_elided <- t.metrics.zero_fills_elided + 1;
-    let bytes =
-      match take_buf t with Some b -> b | None -> Bytes.create Page.size
-    in
-    mint t ~owner ~account bytes
+    let s = take_slot t in
+    let s = if s == no_slot then new_slot t (Bytes.create Page.size) else s in
+    mint t ~owner ~account s
   end
 
 let alloc_copy t ?(account = 0) ~owner src =
@@ -321,14 +369,14 @@ let free_frame t (f : frame) =
     invalid_arg (Printf.sprintf "Phys_mem.free_frame: double free of frame %d" f.id);
   f.freed <- true;
   t.metrics.frames_freed <- t.metrics.frames_freed + 1;
-  if t.track_live then begin
-    Atomic.decr t.live;
-    credit_account t f.account
+  let s = f.slot in
+  if s.held then begin
+    uncount t.counters s;
+    s.held <- false
   end;
   if t.recycle && t.free_len < max_free_bufs then begin
     if t.poison then Bytes.fill f.bytes 0 Page.size poison_byte;
-    t.free_bufs <- f.bytes :: t.free_bufs;
-    t.free_len <- t.free_len + 1
+    push_slot t s
   end
 
 (* Transfer a frame into generation [owner] so stores hit it in place.  The

@@ -3,9 +3,16 @@
     A frame is one 4 KiB page of backing store plus the id of the
     address-space *generation* that owns it.  Ownership drives copy-on-write:
     a store through a mapping whose frame belongs to an older generation must
-    first copy the frame (see {!Addr_space}).  Frames unreachable from any
-    live snapshot are reclaimed by the OCaml GC, standing in for the
-    refcounted physical-page free list a real libOS would keep. *)
+    first copy the frame (see {!Addr_space}).  Frames are returned
+    explicitly with {!free_frame} — their buffers join a free list, the
+    simulation's refcounted physical-page free list — and a frame dropped
+    without a free is reclaimed by the OCaml GC as a fallback. *)
+
+type slot
+(** A page buffer's accounting cell.  It outlives the frames minted over
+    the buffer: a GC finaliser is registered once per buffer, not once per
+    frame, and credits the live count only while an unfreed frame holds
+    the buffer. *)
 
 type frame = private {
   mutable id : int;
@@ -13,11 +20,12 @@ type frame = private {
           re-stamped by {!adopt_frame} because adoption ends the frame's
           never-written-in-place phase *)
   bytes : Bytes.t;          (** always {!Page.size} bytes *)
+  slot : slot;              (** the buffer's accounting cell, which also
+                                records the session (tenant) the frame is
+                                charged to *)
   mutable owner : int;      (** generation allowed to write in place *)
   mutable freed : bool;     (** released via {!free_frame}; any further use
                                 through a page map is a lifecycle bug *)
-  mutable account : int;    (** session (tenant) the frame's live slot is
-                                charged to; 0 = shared/unattributed *)
 }
 
 type t
@@ -33,10 +41,10 @@ val create :
   unit -> t
 (** [capacity] (default 0 = unbounded) bounds the number of
     simultaneously-live frames.  [track_live] (implied by a positive
-    capacity) enables live-frame accounting: every frame carries a GC
-    finaliser that decrements the live count when the frame becomes
-    unreachable — the simulation's stand-in for the refcounted free list a
-    real libOS would keep.
+    capacity) enables live-frame accounting: {!free_frame} returns a
+    frame's live slot at once, and every page buffer carries one GC
+    finaliser that returns it for a frame dropped without a free (roots,
+    [recycle:false], teardown) once the buffer becomes unreachable.
 
     [recycle] (default [true]) enables the explicit free list:
     {!free_frame} keeps released page buffers for reuse and
@@ -56,8 +64,8 @@ val capacity : t -> int
 (** The configured frame capacity; 0 means unbounded. *)
 
 val frames_live : t -> int
-(** Frames allocated and not yet proven unreachable by the GC.  Only
-    meaningful when live tracking is enabled. *)
+(** Frames allocated and neither freed nor proven unreachable by the GC.
+    Only meaningful when live tracking is enabled. *)
 
 val peak_frames_live : t -> int
 (** High-water mark of {!frames_live} — with a capacity set, never exceeds

@@ -826,6 +826,38 @@ let reclaim_spill_roundtrip () =
   check Alcotest.int "spill bytes drained" 0
     (Mem.Phys_mem.spill_bytes_held phys)
 
+let reclaim_forgets_released_paths () =
+  let _phys, m, store, ids, h0 = boot_store () in
+  let img = ref None in
+  for cycle = 1 to 200 do
+    let h1 = extend store ids m h0 ~choice:(cycle mod 2) in
+    let h2 = extend store ids m h1 ~choice:0 in
+    check Alcotest.int "root plus the live path" 3 (Reclaim.entries store);
+    if cycle = 1 then img := Some (snap_image (Reclaim.get store h2));
+    (* parent first: its skeleton must outlive the release while the
+       child still needs it for a replay *)
+    Reclaim.release store h1;
+    if cycle = 1 then begin
+      ignore (Reclaim.evict store h2);
+      check Alcotest.bool "the child replays through a released skeleton" true
+        (Some (snap_image (Reclaim.get store h2)) = !img)
+    end;
+    check Alcotest.int "a released parent with a child stays" 3
+      (Reclaim.entries store);
+    Reclaim.release store h2;
+    check Alcotest.int "the release cascades up to the root" 1
+      (Reclaim.entries store);
+    check Alcotest.bool "forgotten handles read as released" true
+      (Reclaim.is_released store h1 && Reclaim.is_released store h2);
+    Reclaim.release store h2;
+    Alcotest.check_raises "a forgotten handle refuses get"
+      (Invalid_argument (Printf.sprintf "Reclaim: reference %d was released" h1))
+      (fun () -> ignore (Reclaim.get store h1))
+  done;
+  Alcotest.check_raises "a handle never issued is unknown"
+    (Invalid_argument "Reclaim: unknown reference 100000") (fun () ->
+      ignore (Reclaim.get store 100_000))
+
 let reclaim_tier_roundtrip_prop =
   (* Random walk over the candidate tree with random demotions, flushes
      and truncations interleaved; every handle must then reconstruct to
@@ -926,6 +958,119 @@ let service_alloc_fail_contained () =
     same_outcome "sibling resume after injected crash" baseline
       (Service.resume svc candidate ~choice:0 ())
   | _ -> Alcotest.fail "expected a choice point"
+
+(* {1 Service: discarding dead segments} *)
+
+(* One guess per level, each level's choice stored on a page of its own,
+   and every step prints the whole trail back out of guest memory: a frame
+   freed while a snapshot still maps it shows up in the output (the pool
+   below is poisoned). *)
+let trail_depth = 4
+
+let trail_image =
+  let trail_page reg =
+    [ mov reg (r R.r13); shl reg (i 12); movl R.r8 "trail"; add reg (r R.r8) ]
+  in
+  assemble ~entry:"main"
+    ([ label "main"; mov R.r12 (i 0); label "step"; mov R.r13 (i 0);
+       label "print"; cmp R.r13 (r R.r12); jge "printed" ]
+    @ trail_page R.rsi
+    @ [ mov R.rdi (i 1); mov R.rdx (i 1) ]
+    @ Wl_common.syscall3 ~number:Abi.sys_write
+    @ [ inc R.r13; jmp "print"; label "printed";
+        cmp R.r12 (i trail_depth); jge "leaf" ]
+    @ Wl_common.sys_guess_imm ~n:3
+    @ [ add R.rax (i (Char.code 'A')); mov R.r13 (r R.r12) ]
+    @ trail_page R.rcx
+    @ [ stb (R.rcx @+ 0) R.rax; inc R.r12; jmp "step"; label "leaf" ]
+    @ Wl_common.sys_guess_fail
+    @ [ align 4096; label "trail"; zeros (trail_depth * 4096) ])
+
+(* The output of the last step of [path], from a fresh boot on a
+   GC-only allocator ([recycle:false]), where the service frees nothing
+   explicitly: the reference stays off the path under test. *)
+let trail_fresh = Hashtbl.create 64
+
+let trail_fresh_output path =
+  match Hashtbl.find_opt trail_fresh path with
+  | Some o -> o
+  | None ->
+    let phys = Mem.Phys_mem.create ~recycle:false () in
+    let svc, first = Service.boot ~phys trail_image in
+    let o =
+      List.fold_left
+        (fun o choice ->
+          match o with
+          | Service.Ready { candidate; _ } ->
+            Service.resume svc candidate ~choice ()
+          | _ -> Alcotest.fail "fresh run ended before its path did")
+        first path
+    in
+    let out =
+      match o with
+      | Service.Ready { output; _ } | Service.Failed { output } -> output
+      | _ -> Alcotest.fail "fresh run did not stop at a guess or a leaf"
+    in
+    Hashtbl.replace trail_fresh path out;
+    out
+
+(* Random resumes down to [Failed] leaves, path releases and re-resumes of
+   old candidates, on a poisoned pool that is sometimes small enough for
+   pressure to demote and promote.  Every output must match a fresh run,
+   and the resume after a leaf must free that leaf's frames by itself —
+   no GC involved — unless reconstructing its target moved the machine
+   first. *)
+let service_discard_is_sound =
+  qtest ~count:40 "service discards dead segments soundly"
+    QCheck2.Gen.(
+      pair (oneofl [ 0; 10; 16 ])
+        (list_size (int_range 1 40)
+           (triple (int_range 0 3) (int_range 0 1000) (int_range 0 2))))
+    (fun (capacity, script) ->
+      let phys = Mem.Phys_mem.create ~capacity ~poison:true () in
+      let svc, first = Service.boot ~phys trail_image in
+      let root =
+        match first with
+        | Service.Ready { candidate; _ } -> candidate
+        | _ -> Alcotest.fail "expected a choice point"
+      in
+      (* published candidates with their paths; the root is never released *)
+      let cands = ref [ (root, []) ] in
+      let after_leaf = ref false in
+      List.iter
+        (fun (op, pick, choice) ->
+          let k = pick mod List.length !cands in
+          let r, path = List.nth !cands k in
+          if op = 3 then begin
+            if k > 0 then begin
+              Service.release svc r;
+              cands := List.filteri (fun j _ -> j <> k) !cands
+            end
+          end
+          else begin
+            let freed0 = (Mem.Phys_mem.metrics phys).frames_freed in
+            let rebuilt0 = Service.promotions svc + Service.replays svc in
+            let o = Service.resume svc r ~choice () in
+            let path = path @ [ choice ] in
+            let expected = trail_fresh_output path in
+            (match o with
+            | Service.Ready { candidate; output; _ } ->
+              check Alcotest.string "resumed output" expected output;
+              cands := !cands @ [ (candidate, path) ]
+            | Service.Failed { output } ->
+              check Alcotest.string "leaf output" expected output
+            | Service.Finished _ | Service.Crashed _ ->
+              Alcotest.fail "the trail guest only guesses and fails");
+            if !after_leaf
+               && Service.promotions svc + Service.replays svc = rebuilt0
+            then
+              check Alcotest.bool "the leaf's frames were freed explicitly"
+                true
+                ((Mem.Phys_mem.metrics phys).frames_freed > freed0);
+            after_leaf := match o with Service.Failed _ -> true | _ -> false
+          end)
+        script;
+      true)
 
 (* {1 Multi-tenant pool} *)
 
@@ -1256,11 +1401,14 @@ let tests =
       reclaim_pinned_root_stops_at_tier1;
     Alcotest.test_case "reclaim spill roundtrip" `Quick
       reclaim_spill_roundtrip;
+    Alcotest.test_case "reclaim forgets released paths" `Quick
+      reclaim_forgets_released_paths;
     reclaim_tier_roundtrip_prop;
     Alcotest.test_case "service spill threshold end to end" `Quick
       service_spill_threshold_end_to_end;
     Alcotest.test_case "service alloc fail contained" `Quick
       service_alloc_fail_contained;
+    service_discard_is_sound;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
       tenancy_dedup_shares_image_frames;
     Alcotest.test_case "tenancy fault containment" `Quick

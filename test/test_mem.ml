@@ -1128,6 +1128,109 @@ let untracked_by_default () =
   check Alcotest.int "opt-in tracking counts" 1 (Phys.frames_live tracked);
   ignore (Sys.opaque_identity keep)
 
+(* --- Live-frame accounting per page buffer ---------------------------- *)
+
+(* Finalisers registered during one major cycle run as part of the next. *)
+let collect () =
+  Gc.full_major ();
+  Gc.full_major ()
+
+(* Allocate [n] frames charged to [account] and drop them without a free. *)
+let[@inline never] drop_unfreed phys ~account n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Phys.alloc ~account phys ~owner:1))
+  done
+
+(* Free a frame, let a second frame reuse its buffer, drop both: the
+   buffer's one finaliser must count the second frame once. *)
+let[@inline never] reuse_then_drop phys ~first ~second =
+  let f = Phys.alloc ~account:first phys ~owner:1 in
+  Phys.free_frame phys f;
+  let g = Phys.alloc ~account:second phys ~owner:1 in
+  g.Phys.bytes == f.Phys.bytes
+
+let dropped_frames_leave_live () =
+  let phys = Phys.create ~track_live:true () in
+  let a = Phys.fresh_account phys in
+  let keep = Phys.alloc ~account:a phys ~owner:1 in
+  drop_unfreed phys ~account:a 3;
+  drop_unfreed phys ~account:0 2;
+  collect ();
+  check Alcotest.int "only the held frame stays live" 1 (Phys.frames_live phys);
+  check Alcotest.int "account credited by the finalisers" 1
+    (Phys.account_frames_live phys a);
+  check Alcotest.int "peak saw all six" 6 (Phys.peak_frames_live phys);
+  ignore (Sys.opaque_identity keep)
+
+let free_then_drop_counts_once () =
+  (* recycle:false drops the freed buffer, so its finaliser does run *)
+  let phys = Phys.create ~track_live:true ~recycle:false () in
+  let a = Phys.fresh_account phys and b = Phys.fresh_account phys in
+  let f = Phys.alloc ~account:a phys ~owner:1 in
+  let keep = Phys.alloc ~account:b phys ~owner:1 in
+  Phys.free_frame phys f;
+  check Alcotest.int "free returns the slot at once" 1 (Phys.frames_live phys);
+  check Alcotest.int "and credits its account" 0
+    (Phys.account_frames_live phys a);
+  collect ();
+  check Alcotest.int "the finaliser does not return it again" 1
+    (Phys.frames_live phys);
+  check Alcotest.int "freed account stays at zero" 0
+    (Phys.account_frames_live phys a);
+  check Alcotest.int "other account untouched" 1
+    (Phys.account_frames_live phys b);
+  ignore (Sys.opaque_identity keep)
+
+let reused_buffer_counts_once () =
+  let phys = Phys.create ~track_live:true () in
+  let a = Phys.fresh_account phys and b = Phys.fresh_account phys in
+  check Alcotest.bool "the second frame reused the buffer" true
+    (reuse_then_drop phys ~first:a ~second:b);
+  check Alcotest.int "one live frame before collection" 1
+    (Phys.frames_live phys);
+  collect ();
+  check Alcotest.int "the reusing frame is credited" 0 (Phys.frames_live phys);
+  check Alcotest.int "to its own account" 0 (Phys.account_frames_live phys b);
+  check Alcotest.int "the first account is not credited twice" 0
+    (Phys.account_frames_live phys a)
+
+let accounts_stay_exact () =
+  let phys = Phys.create ~track_live:true () in
+  let accts = Array.init 20 (fun _ -> Phys.fresh_account phys) in
+  let held =
+    Array.map
+      (fun a -> Array.init 3 (fun _ -> Phys.alloc ~account:a phys ~owner:1))
+      accts
+  in
+  Array.iteri
+    (fun i frames ->
+      for k = 0 to i mod 3 do Phys.free_frame phys frames.(k) done)
+    held;
+  (* reallocations draw from the pool and charge the new account *)
+  let extra = Array.map (fun a -> Phys.alloc ~account:a phys ~owner:1) accts in
+  Array.iteri
+    (fun i a ->
+      check Alcotest.int
+        (Printf.sprintf "account %d" a)
+        (3 - (i mod 3))
+        (Phys.account_frames_live phys a))
+    accts;
+  check Alcotest.int "unknown accounts read 0" 0
+    (Phys.account_frames_live phys 1000);
+  check Alcotest.int "account 0 is never tracked" 0
+    (Phys.account_frames_live phys 0);
+  ignore (Sys.opaque_identity (held, extra))
+
+let over_cap_buffer_not_counted () =
+  let phys = Phys.create ~track_live:true () in
+  let frames = List.init 4097 (fun _ -> Phys.alloc phys ~owner:1) in
+  List.iter (Phys.free_frame phys) frames;
+  check Alcotest.int "the pool stops at its cap" 4096 (Phys.free_buffers phys);
+  check Alcotest.int "every free returned its slot" 0 (Phys.frames_live phys);
+  collect ();
+  check Alcotest.int "the dropped buffer's finaliser credits nothing" 0
+    (Phys.frames_live phys)
+
 let tests =
   [ Alcotest.test_case "page geometry" `Quick page_geometry;
     Alcotest.test_case "read/write roundtrip" `Quick rw_roundtrip;
@@ -1159,6 +1262,16 @@ let tests =
     Alcotest.test_case "injected alloc fault is single-shot" `Quick
       injected_alloc_fault_single_shot;
     Alcotest.test_case "live tracking is opt-in" `Quick untracked_by_default;
+    Alcotest.test_case "dropped frames leave frames_live" `Quick
+      dropped_frames_leave_live;
+    Alcotest.test_case "free then drop counts once" `Quick
+      free_then_drop_counts_once;
+    Alcotest.test_case "reused buffer counts once" `Quick
+      reused_buffer_counts_once;
+    Alcotest.test_case "account live counts stay exact" `Quick
+      accounts_stay_exact;
+    Alcotest.test_case "buffer past the pool cap is not counted" `Quick
+      over_cap_buffer_not_counted;
     Alcotest.test_case "crossing u64 is chunked, not per-byte" `Quick
       crossing_u64_is_chunked;
     Alcotest.test_case "free list recycles buffers" `Quick
