@@ -130,8 +130,9 @@ let e2 () =
             U.time_ms (fun () ->
                 for _ = 1 to fault_iters do
                   let s = As.snapshot t in
+                  let epoch = As.epoch t in
                   As.write_u64 t 0 1;
-                  if recycle then ignore (As.discard_segment t ~base:s);
+                  if recycle then ignore (As.discard_segment t ~epoch ~base:s);
                   As.restore t s
                 done)
           in
@@ -968,7 +969,7 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* E12: exploration under a frame budget (reclaim: evict + replay)    *)
+(* E12: exploration under a frame budget (reclaim: demote + promote)  *)
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
@@ -977,15 +978,16 @@ let e12 () =
      exploration holds every frontier snapshot's frames live at once \
      (section 2's 'memory-management capabilities' concern).  Under a \
      frame budget the store no longer forgets payloads - it demotes \
-     them (deepest, least-recently-resumed first) to compressed \
+     them (deepest, least-recently-resumed first) to in-memory \
      dirty-page deltas against a live ancestor and promotes them back \
-     by decompress+apply when the scheduler pops them; re-execution is \
-     only the fallback for truncated chains, which pressure alone never \
-     produces.  Every budgeted run must visit the same terminals in the \
-     same order as the unbounded one, peak live frames must never \
-     exceed the budget, and the quarter-peak run must stay within 3x \
-     of the unbounded time (the old evict-and-replay store sat at \
-     32-75x here).";
+     by applying the delta when the scheduler pops them; re-execution \
+     is only the fallback for truncated chains, which pressure alone \
+     never produces.  Every budgeted run must visit the same terminals \
+     in the same order as the unbounded one, peak live frames must \
+     never exceed the budget, no budgeted run may replay (tier hit rate \
+     100%), and the quarter-peak run must stay within 3x of the \
+     unbounded time (the old evict-and-replay store sat at 32-75x \
+     here).";
   let row = U.row_format [ 10; 9; 10; 8; 8; 8; 9; 8; 8; 9 ] in
   row
     [ "budget"; "capacity"; "peak-live"; "demote"; "promote"; "replays";
@@ -1079,6 +1081,16 @@ let e12 () =
           (Printf.sprintf
              "E12: quarter-peak slowdown %.1fx >= 3x - the delta tiers are \
               not absorbing the pressure" slowdown);
+      (* Pressure alone never truncates, so every reconstruction under a
+         budget must be a promotion: no replay, a full tier hit rate. *)
+      if s.Core.Stats.replays > 0 then
+        failwith
+          (Printf.sprintf "E12: %s: %d replay(s) under pressure alone" label
+             s.Core.Stats.replays);
+      if tier_hit_rate s < 1.0 then
+        failwith
+          (Printf.sprintf "E12: %s: tier hit rate %.2f < 1.0" label
+             (tier_hit_rate s));
       json_rows :=
         json_row ~label ~capacity ~peak_live:(Phys.peak_frames_live phys)
           ~peak_delta:(Phys.peak_delta_bytes phys) ~ms ~slowdown s

@@ -66,7 +66,7 @@ let reason_to_string r = Format.asprintf "%a" Libos.pp_reason r
 
 let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     ?(max_extensions = max_int) ?(retry_budget = 3) ?strategy_override
-    ?tier_stress ?spill_threshold ?on_stop ?probe (machine : Libos.t) =
+    ?tier_stress ?on_stop ?probe (machine : Libos.t) =
   let stats = Stats.create () in
   let mem_before = Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace) in
   let retired_before = machine.cpu.Cpu.retired in
@@ -79,7 +79,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   let current_snap : Snapshot.t option ref = ref None in
 
   (* Memory-pressure integration: a bounded physical memory gets a tiered
-     payload store, so snapshots can be demoted to compressed deltas when
+     payload store, so snapshots can be demoted to in-memory deltas when
      frames run out and promoted back (or, past a truncation, rebuilt by
      replay) when their extension is finally scheduled.  [tier_stress]
      forces the store on and exercises the tiers on an unbounded memory —
@@ -87,7 +87,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   let phys = Mem.Addr_space.phys machine.aspace in
   let store =
     if Mem.Phys_mem.capacity phys > 0 || tier_stress <> None then begin
-      let st = Reclaim.create ~fuel_per_step ?spill_threshold machine in
+      let st = Reclaim.create ~fuel_per_step machine in
       Mem.Phys_mem.set_pressure_handler phys (Some (Reclaim.pressure_handler st));
       Some st
     end
@@ -99,10 +99,9 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   if probe <> None && store <> None then
     invalid_arg "Explorer: recording requires an unbounded in-memory store";
   (* Tier-stress hook: every [n]-th scheduler stop demotes every live
-     payload (and compresses/spills immediately — stops are quiet points),
-     and every 5[n]-th additionally truncates everything non-pinned so the
-     replay fallback is exercised too.  Pure store operations: the running
-     machine is never touched. *)
+     payload, and every 5[n]-th additionally truncates everything
+     non-pinned so the replay fallback is exercised too.  Pure store
+     operations: the running machine is never touched. *)
   let stress_clock = ref 0 in
   let stress_tick () =
     match (tier_stress, store) with
@@ -110,7 +109,6 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       incr stress_clock;
       if !stress_clock mod n = 0 then begin
         ignore (Reclaim.demote_all st);
-        Reclaim.flush_pending st;
         if !stress_clock mod (5 * n) = 0 then ignore (Reclaim.evict_all st)
       end
     | _ -> ()
@@ -122,7 +120,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   (* The address-space epoch recorded right after the most recent restore
      (or root capture): if it is still current when the path ends, nothing
      captured the map in between and the segment's COW tail is private —
-     the precondition of [Addr_space.discard_segment]. *)
+     the precondition [Addr_space.discard_segment] checks against it. *)
   let segment_epoch = ref (-1) in
   (* In reclaim mode, replays capture through the store's id allocator;
      sharing it keeps snapshot ids unique across originals and rebuilds. *)
@@ -192,8 +190,6 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         stats.payload_evictions <- Reclaim.evictions st;
         stats.demotions <- Reclaim.demotions st;
         stats.promotions <- Reclaim.promotions st;
-        stats.spills <- Reclaim.spills st;
-        stats.spill_loads <- Reclaim.spill_loads st;
         stats.replays <- Reclaim.replays st;
         stats.replay_fallbacks <- Reclaim.replay_fallbacks st;
         stats.replayed_instructions <- Reclaim.replayed_instructions st;
@@ -232,11 +228,11 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
        segment); only a non-recycling allocator makes it a no-op. *)
     if Mem.Phys_mem.recycling phys then
       match prev with
-      | Some p when Mem.Addr_space.epoch machine.aspace = !segment_epoch ->
+      | Some p ->
         ignore
           (Mem.Addr_space.discard_segment machine.aspace
-             ~base:p.Snapshot.mem)
-      | _ -> ()
+             ~epoch:!segment_epoch ~base:p.Snapshot.mem)
+      | None -> ()
   in
   let release_prev prev =
     if recycle_snaps then
@@ -540,12 +536,11 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
            re-restore if no capture froze it *)
         if Mem.Phys_mem.recycling phys then
           (match !current_snap with
-          | Some p when Mem.Addr_space.epoch machine.aspace = !segment_epoch
-            ->
+          | Some p ->
             ignore
               (Mem.Addr_space.discard_segment machine.aspace
-                 ~base:p.Snapshot.mem)
-          | _ -> ());
+                 ~epoch:!segment_epoch ~base:p.Snapshot.mem)
+          | None -> ());
         match
           (try
              `Ok
@@ -592,11 +587,11 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   loop ()
 
 let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
-    ?recycle ?poison ?strategy_override ?tier_stress ?spill_threshold
-    ?(files = []) ?stdin image =
+    ?recycle ?poison ?strategy_override ?tier_stress ?(files = []) ?stdin
+    image =
   let phys = Mem.Phys_mem.create ?capacity ?recycle ?poison () in
   let machine = Libos.boot phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
   run ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
-    ?tier_stress ?spill_threshold machine
+    ?tier_stress machine

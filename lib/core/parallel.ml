@@ -178,9 +178,9 @@ let run_cooperative ~(config : config) (image : Isa.Asm.image) =
       match w.snap with
       | None -> ()
       | Some p ->
-        if As.epoch w.machine.Libos.aspace = w.epoch then
-          ignore
-            (As.discard_segment w.machine.Libos.aspace ~base:p.Snapshot.mem);
+        ignore
+          (As.discard_segment w.machine.Libos.aspace ~epoch:w.epoch
+             ~base:p.Snapshot.mem);
         Snapshot.release_ext ~phys p
   in
 
@@ -226,10 +226,11 @@ let run_cooperative ~(config : config) (image : Isa.Asm.image) =
       (* free the crashed attempt's COW tail before re-restoring *)
       if recycle_snaps then
         (match w.snap with
-        | Some p when As.epoch w.machine.Libos.aspace = w.epoch ->
+        | Some p ->
           ignore
-            (As.discard_segment w.machine.Libos.aspace ~base:p.Snapshot.mem)
-        | _ -> ());
+            (As.discard_segment w.machine.Libos.aspace ~epoch:w.epoch
+               ~base:p.Snapshot.mem)
+        | None -> ());
       (match w.origin with
       | Some ext ->
         Snapshot.restore w.machine (snap_of ext);
@@ -653,13 +654,13 @@ let eval_domain sh ~dom ~(machine : Libos.t) ~phys ~(d_root : Snapshot.t)
      the base is the local root, so the imported delta pages are freed
      along with the tail. *)
   let discard_tail () =
-    if recycle && !seg_epoch >= 0 && As.epoch aspace = !seg_epoch then begin
+    if recycle then begin
       let base =
         match !cur_snap with
         | Some s -> s.Snapshot.mem
         | None -> d_root.Snapshot.mem
       in
-      ignore (As.discard_segment aspace ~base)
+      ignore (As.discard_segment aspace ~epoch:!seg_epoch ~base)
     end
   in
 

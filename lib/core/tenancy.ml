@@ -4,8 +4,9 @@
    The robustness contract, in one sentence: a misbehaving tenant — guest
    crash, fuel/deadline overrun, frame-budget blowout, injected allocation
    fault — is contained to its own session, demoted first under pressure,
-   and evicted if incompressible, while every other tenant's published
-   candidates stay bit-identical resumable.
+   and evicted if demotion cannot bring it back under its budget, while
+   every other tenant's published candidates stay bit-identical
+   resumable.
 
    Mechanisms, and where each lives:
 
@@ -68,7 +69,6 @@ type pending_boot = {
 type t = {
   phys : Phys.t;
   fuel_per_step : int;
-  spill_threshold : int option;
   frame_budget : int;
   fuel_budget : int;
   deadline : int;
@@ -128,14 +128,13 @@ let pressure t () =
       lru
   end
 
-let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
+let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
     ?(frame_budget = 0) ?(fuel_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
     ?(queue_limit = 64) ?(dedup = true) ?poison () =
   let phys = Phys.create ~capacity ~track_live:true ?poison () in
   let t =
     { phys;
       fuel_per_step;
-      spill_threshold;
       frame_budget;
       fuel_budget;
       deadline;
@@ -162,7 +161,7 @@ let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
 
 (* {1 Teardown} *)
 
-(* Retire a tenant's footprint: compress its candidate payloads out of the
+(* Retire a tenant's footprint: demote its candidate payloads out of the
    frame pool (their branch-private frames go straight back to the free
    list), discard the frames its last uncaptured segment wrote, and return
    its dedup-table references.  The service record stays (clients may
@@ -198,8 +197,8 @@ let admit t image files stdin =
     if t.deadline > 0 then min t.fuel_per_step t.deadline else t.fuel_per_step
   in
   let svc, first =
-    Service.boot ~fuel_per_step ?spill_threshold:t.spill_threshold ~files
-      ?stdin ~phys:t.phys ~manage_pressure:false ~dedup:t.dedup ~account image
+    Service.boot ~fuel_per_step ~files ?stdin ~phys:t.phys
+      ~manage_pressure:false ~dedup:t.dedup ~account image
   in
   let tn =
     { id;
@@ -301,7 +300,7 @@ let next_tenant t = Queue.peek_opt t.run_queue
    cumulative fuel budget (cheap: the vCPU's retired counter is monotone —
    snapshots do not save it); then the frame budget — demote everything
    the tenant holds, collect so the finaliser-driven accounting catches
-   up, and evict only if the tenant is still over (incompressible). *)
+   up, and evict only if the tenant is still over. *)
 let police t tn outcome =
   (match (outcome : Service.outcome) with
   | Crashed msg ->
@@ -324,10 +323,9 @@ let police t tn outcome =
      && Phys.account_frames_live t.phys tn.account > t.frame_budget
   then begin
     ignore (Service.demote_all tn.svc);
-    Service.flush_spills tn.svc;
     (* finalisers registered during one major cycle run as part of the
        next; two collections make "unreachable now" visible in the
-       account before we judge the tenant incompressible *)
+       account before we judge the tenant still over budget *)
     Gc.full_major ();
     Gc.full_major ();
     if Phys.account_frames_live t.phys tn.account > t.frame_budget then begin

@@ -299,11 +299,10 @@ let check_image ?(ckpt_every = 1) image =
         | exception Failure detail -> Some { pipeline = "recycle"; detail });
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
-           the GC-only peak, a hook that demotes every live payload to its
-           compressed delta at every scheduler stop (truncating everything
-           every 5th, so the replay fallback runs too), and a zero spill
-           budget pushing cold deltas through host disk — on a poisoned
-           recycling allocator, so a frame freed while a delta still
+           the GC-only peak and a hook that demotes every live payload to
+           its in-memory delta at every scheduler stop (truncating
+           everything every 5th, so the replay fallback runs too) — on a
+           poisoned recycling allocator, so a frame freed while a delta still
            described it diverges loudly.  Reconstruction is supposed to be
            invisible: exact agreement, instruction count included. *)
         let peak = Mem.Phys_mem.peak_frames_live (As.phys machine.Libos.aspace) in
@@ -311,7 +310,7 @@ let check_image ?(ckpt_every = 1) image =
           Mem.Phys_mem.create ~capacity:(max 64 (peak / 3)) ~poison:true ()
         in
         let m = Libos.boot ~icache:true phys image in
-        let r = Explorer.run ~tier_stress:1 ~spill_threshold:0 m in
+        let r = Explorer.run ~tier_stress:1 m in
         compare_exact "tiered-store" base (machine_run m r));
       (fun () ->
         compare_multiset "parallel-coop" base

@@ -33,11 +33,10 @@
       exactly;
     + {b tiered-store}: the explorer under a frame budget below the
       baseline's peak with the tiered {!Core.Reclaim} store hammered at
-      every scheduler stop — every live payload demoted to its compressed
+      every scheduler stop — every live payload demoted to its in-memory
       delta (truncated outright every 5th stop, so the replay fallback
-      runs too) and a zero spill budget pushing cold deltas through host
-      disk, on a poisoned recycling allocator.  Demotion, promotion,
-      spilling and replay are supposed to be invisible, so this must
+      runs too), on a poisoned recycling allocator.  Demotion, promotion
+      and replay are supposed to be invisible, so this must
       match {e exactly}, retired instruction count included;
     + {b parallel-coop} / {b parallel-domains}: {!Core.Parallel} with 4
       workers on each backend.  Path completion order is

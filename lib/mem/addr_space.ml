@@ -384,12 +384,14 @@ let release_snapshot ~phys ~parent s =
   freed
 
 (* Free what the current map acquired since [base] was restored — the COW
-   tail of a finished path segment that no capture ever froze.  Only sound
+   tail of a finished path segment that no capture ever froze.  Sound only
    when the epoch is unchanged since that restore (no snapshot grabbed the
-   map in between) and when the caller restores another snapshot
-   immediately after, before any further access through the map. *)
-let discard_segment t ~base =
-  free_delta t.phys ~base:base.snap_map t.map
+   map in between), which is checked here against the [epoch] the caller
+   recorded right after it, and when the caller restores another snapshot
+   immediately after, before any further access through the map.  Epochs
+   start at 0, so a negative "no segment" sentinel never matches. *)
+let discard_segment t ~epoch ~base =
+  if t.epoch <> epoch then 0 else free_delta t.phys ~base:base.snap_map t.map
 
 (* Restore [s] knowing it is the last reference to its branch: the frames
    it holds beyond [parent] become ours to write in place, instead of being

@@ -132,7 +132,7 @@ val epoch : t -> int
 (** Bumped on every [snapshot], [restore] and [seal].  A caller that
     restored a base and observes the epoch unchanged knows no snapshot has
     grabbed the map since, so everything acquired in between is segment-
-    private (the precondition of {!discard_segment}). *)
+    private (the precondition {!discard_segment} checks). *)
 
 val release_snapshot : phys:Phys_mem.t -> parent:snapshot -> snapshot -> int
 (** [release_snapshot ~phys ~parent s] returns the frames [s] acquired since
@@ -142,11 +142,14 @@ val release_snapshot : phys:Phys_mem.t -> parent:snapshot -> snapshot -> int
     explicitly-shared frames and dedup-table frames are skipped; frames
     [parent] still references (pages unmapped in [s]) are kept. *)
 
-val discard_segment : t -> base:snapshot -> int
+val discard_segment : t -> epoch:int -> base:snapshot -> int
 (** Free what the current map acquired since [base] was restored — the COW
-    tail of a finished path segment that no capture froze.  Requires
-    {!epoch} unchanged since that restore, and the caller must restore
-    another snapshot immediately after, before any access through the
+    tail of a finished path segment that no capture froze — and report how
+    many frames were freed.  [epoch] is the {!epoch} the caller recorded
+    right after that restore: if the map's epoch has moved since (a
+    capture froze the segment), nothing is freed and the result is 0; a
+    negative [epoch] never matches.  After a discard that freed frames the
+    caller must restore another snapshot before any access through the
     now-dangling map. *)
 
 val restore_adopt : t -> parent:snapshot -> snapshot -> int

@@ -703,7 +703,7 @@ let rec run_to_guess m =
   | stop ->
     Alcotest.failf "expected a choice point, got %a" Libos.pp_stop stop
 
-let boot_store ?spill_threshold () =
+let boot_store () =
   let phys = Mem.Phys_mem.create ~track_live:true ~poison:true () in
   let image =
     Workloads.Locality.program
@@ -711,7 +711,7 @@ let boot_store ?spill_threshold () =
   in
   let m = Libos.boot phys image in
   ignore (run_to_guess m);
-  let store = Reclaim.create ?spill_threshold m in
+  let store = Reclaim.create m in
   let ids = Reclaim.snapshot_ids store in
   let root = Snapshot.capture ~ids ~depth:0 m in
   let h0 = Reclaim.add_root store root in
@@ -779,7 +779,7 @@ let reclaim_truncated_chain_falls_back_to_replay () =
   check Alcotest.bool "child demotes against its live parent" true
     (Reclaim.demote store h2);
   check Alcotest.bool "the base truncates" true (Reclaim.evict store h1);
-  check Alcotest.int "truncated entry is tier 3" 3 (Reclaim.tier store h1);
+  check Alcotest.int "truncated entry is tier 2" 2 (Reclaim.tier store h1);
   (* h2's delta now hangs off a truncated base: reconstruction must
      replay exactly the missing edge and promote the rest. *)
   let s2 = Reclaim.get store h2 in
@@ -793,38 +793,19 @@ let reclaim_truncated_chain_falls_back_to_replay () =
     (Reclaim.tier store h1)
 
 let reclaim_pinned_root_stops_at_tier1 () =
-  let _phys, m, store, ids, h0 = boot_store ~spill_threshold:0 () in
+  let _phys, m, store, ids, h0 = boot_store () in
   let _h1 = extend store ids m h0 ~choice:0 in
   let img0 = snap_image (Reclaim.get store h0) in
   check Alcotest.bool "root refuses truncation" false (Reclaim.evict store h0);
   check Alcotest.bool "root demotes to a full image" true
     (Reclaim.demote store h0);
-  Reclaim.flush_pending store;
-  check Alcotest.bool "root refuses spilling" false (Reclaim.spill store h0);
+  check Alcotest.bool "a demoted root still refuses truncation" false
+    (Reclaim.evict store h0);
   check Alcotest.int "root stops at tier 1" 1 (Reclaim.tier store h0);
   check Alcotest.bool "root promotes from its full image" true
     (snap_image (Reclaim.get store h0) = img0);
   check Alcotest.int "full-image promotion replays nothing" 0
     (Reclaim.replays store)
-
-let reclaim_spill_roundtrip () =
-  let phys, m, store, ids, h0 = boot_store ~spill_threshold:0 () in
-  let h1 = extend store ids m h0 ~choice:0 in
-  let img1 = snap_image (Reclaim.get store h1) in
-  ignore (Reclaim.demote store h1);
-  Reclaim.flush_pending store;
-  check Alcotest.int "cold delta spilled to disk" 2 (Reclaim.tier store h1);
-  check Alcotest.bool "spill bytes accounted" true
-    (Mem.Phys_mem.spill_bytes_held phys > 0);
-  check Alcotest.int "spilled delta left host memory" 0
-    (Mem.Phys_mem.delta_bytes_held phys);
-  check Alcotest.int "spill counted" 1 (Reclaim.spills store);
-  let s1 = Reclaim.get store h1 in
-  check Alcotest.bool "identical after the disk round-trip" true
-    (snap_image s1 = img1);
-  check Alcotest.int "spill load counted" 1 (Reclaim.spill_loads store);
-  check Alcotest.int "spill bytes drained" 0
-    (Mem.Phys_mem.spill_bytes_held phys)
 
 let reclaim_forgets_released_paths () =
   let _phys, m, store, ids, h0 = boot_store () in
@@ -859,8 +840,8 @@ let reclaim_forgets_released_paths () =
       ignore (Reclaim.get store 100_000))
 
 let reclaim_tier_roundtrip_prop =
-  (* Random walk over the candidate tree with random demotions, flushes
-     and truncations interleaved; every handle must then reconstruct to
+  (* Random walk over the candidate tree with random demotions, demote-all
+     sweeps and truncations interleaved; every handle must then reconstruct to
      the bit-identical snapshot it published, on a poisoned allocator. *)
   qtest ~count:25 "tiered store reconstructs bit-identical snapshots"
     QCheck2.Gen.(
@@ -882,16 +863,14 @@ let reclaim_tier_roundtrip_prop =
                 (h', snap_image (Reclaim.get store h')) :: !published
             end
           | 2 -> ignore (Reclaim.demote store h)
-          | 3 ->
-            ignore (Reclaim.demote_all store);
-            Reclaim.flush_pending store
+          | 3 -> ignore (Reclaim.demote_all store)
           | _ -> ignore (Reclaim.evict store h)))
         script;
       List.for_all
         (fun (h, img) -> snap_image (Reclaim.get store h) = img)
         !published)
 
-(* {1 Service robustness: spill tier and fault containment} *)
+(* {1 Service robustness: delta tier and fault containment} *)
 
 let locality_image =
   Workloads.Locality.program
@@ -911,24 +890,22 @@ let same_outcome msg (a : Service.outcome) (b : Service.outcome) =
     check Alcotest.string (msg ^ ": output") o1 o2
   | _ -> Alcotest.failf "%s: outcomes differ in kind" msg
 
-let service_spill_threshold_end_to_end () =
-  (* boot -> demote -> spill (tier 2) -> resume promotes via spill-load
+let service_demote_all_end_to_end () =
+  (* boot -> demote every candidate (tier 1) -> resume promotes the delta
      with bit-identical output *)
-  let svc, outcome = Service.boot ~spill_threshold:0 locality_image in
+  let svc, outcome = Service.boot locality_image in
   match outcome with
   | Service.Ready { candidate; _ } -> (
     match Service.resume svc candidate ~choice:0 () with
     | Service.Ready { candidate = child; _ } ->
       let baseline = Service.resume svc child ~choice:0 () in
       ignore (Service.demote_all svc);
-      Service.flush_spills svc;
-      check Alcotest.int "child sits at tier 2 (spilled)" 2
+      check Alcotest.int "child sits at tier 1 (in-memory delta)" 1
         (Service.candidate_tier svc child);
-      check Alcotest.bool "spill counted" true (Service.spills svc >= 1);
       let after = Service.resume svc child ~choice:0 () in
-      same_outcome "resume across the disk round-trip" baseline after;
-      check Alcotest.bool "promotion loaded from disk" true
-        (Service.spill_loads svc >= 1);
+      same_outcome "resume across the delta round-trip" baseline after;
+      check Alcotest.bool "the resume promoted the delta" true
+        (Service.promotions svc >= 1);
       check Alcotest.int "no reconstruction fell back to replay" 0
         (Service.replays svc)
     | _ -> Alcotest.fail "expected a child choice point")
@@ -1399,13 +1376,11 @@ let tests =
       reclaim_truncated_chain_falls_back_to_replay;
     Alcotest.test_case "reclaim pinned root stops at tier 1" `Quick
       reclaim_pinned_root_stops_at_tier1;
-    Alcotest.test_case "reclaim spill roundtrip" `Quick
-      reclaim_spill_roundtrip;
     Alcotest.test_case "reclaim forgets released paths" `Quick
       reclaim_forgets_released_paths;
     reclaim_tier_roundtrip_prop;
-    Alcotest.test_case "service spill threshold end to end" `Quick
-      service_spill_threshold_end_to_end;
+    Alcotest.test_case "service demote-all resume end to end" `Quick
+      service_demote_all_end_to_end;
     Alcotest.test_case "service alloc fail contained" `Quick
       service_alloc_fail_contained;
     service_discard_is_sound;

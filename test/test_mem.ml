@@ -685,12 +685,31 @@ let discard_segment_frees_cow_tail () =
   let epoch = As.epoch t in
   As.write_u8 t 0 9;
   check Alcotest.int "no snapshot grabbed the segment" epoch (As.epoch t);
-  let n = As.discard_segment t ~base:s in
+  let n = As.discard_segment t ~epoch ~base:s in
   check Alcotest.int "one COW frame discarded" 1 n;
   As.restore t s;
   check Alcotest.int "base intact after the mandated restore" (Char.code 'a')
     (As.read_u8 t 0);
   check Alcotest.int "buffer pooled" 1 (Phys.free_buffers phys)
+
+let discard_segment_stale_epoch_frees_nothing () =
+  let phys = Phys.create ~track_live:true () in
+  let t = As.create phys in
+  As.map_data t ~vpn:0 "a";
+  let s = As.snapshot t in
+  let epoch = As.epoch t in
+  As.write_u8 t 0 9;
+  (* a capture freezes the segment: its COW frame now belongs to [frozen] *)
+  let frozen = As.snapshot t in
+  let live = Phys.frames_live phys in
+  check Alcotest.int "a stale epoch frees nothing" 0
+    (As.discard_segment t ~epoch ~base:s);
+  check Alcotest.int "the sentinel epoch frees nothing" 0
+    (As.discard_segment t ~epoch:(-1) ~base:s);
+  check Alcotest.int "no frame went back" live (Phys.frames_live phys);
+  check Alcotest.int "no buffer pooled" 0 (Phys.free_buffers phys);
+  As.restore t frozen;
+  check Alcotest.int "the frozen segment is intact" 9 (As.read_u8 t 0)
 
 let restore_adopt_writes_in_place () =
   let phys = Phys.create () in
@@ -933,10 +952,7 @@ let delta_bytes_accounting () =
   check Alcotest.int "held" 1500 (Phys.delta_bytes_held phys);
   Phys.note_delta_bytes phys (-1200);
   check Alcotest.int "released" 300 (Phys.delta_bytes_held phys);
-  check Alcotest.int "peak sticks" 1500 (Phys.peak_delta_bytes phys);
-  Phys.note_spill_bytes phys 700;
-  Phys.note_spill_bytes phys (-700);
-  check Alcotest.int "spill back to zero" 0 (Phys.spill_bytes_held phys)
+  check Alcotest.int "peak sticks" 1500 (Phys.peak_delta_bytes phys)
 
 (* {2 TLB coherence under the full frame lifecycle}
 
@@ -1095,7 +1111,9 @@ let tlb_survives_lifecycle =
               when (not b.a_released)
                    && As.epoch sp.a_as = sp.a_base_epoch
                    && List.exists restorable sp.a_nodes ->
-              ignore (As.discard_segment sp.a_as ~base:b.a_snap);
+              ignore
+                (As.discard_segment sp.a_as ~epoch:sp.a_base_epoch
+                   ~base:b.a_snap);
               restore_pick sp k
             | Some _ | None -> ())
           | A_release (s, k, j) -> (
@@ -1286,13 +1304,15 @@ let tests =
       release_snapshot_frees_delta;
     Alcotest.test_case "discard_segment frees the COW tail" `Quick
       discard_segment_frees_cow_tail;
+    Alcotest.test_case "discard_segment with a stale epoch frees nothing"
+      `Quick discard_segment_stale_epoch_frees_nothing;
     Alcotest.test_case "restore_adopt writes in place" `Quick
       restore_adopt_writes_in_place;
     released_frames_never_alias_live_state;
     tlb_survives_lifecycle;
     Alcotest.test_case "delta restore keeps zero sharing" `Quick
       delta_restore_keeps_zero_sharing;
-    Alcotest.test_case "delta/spill byte accounting" `Quick
+    Alcotest.test_case "delta byte accounting" `Quick
       delta_bytes_accounting;
     delta_roundtrip;
     backends_agree;
